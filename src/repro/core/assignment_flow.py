@@ -9,9 +9,10 @@ The 0-1 program
 is totally unimodular and solved exactly as a min-cost network flow
 (Fig. 4).  Two backends:
 
-* ``"transportation"`` (default) — ring columns replicated to capacity,
-  solved by the C-implemented rectangular assignment kernel; fast enough
-  for the largest benchmark.
+* ``"transportation"`` (default) — the candidate-pruned arcs only, each
+  ring split into unit capacity slots, solved as a sparse min-weight
+  full bipartite matching (:func:`repro.opt.solve_transportation`);
+  the production path.
 * ``"ssp"`` — the from-scratch successive-shortest-path solver in
   :mod:`repro.opt.mincostflow`, building the exact Fig. 4 network.
   Slower; used for cross-validation.
@@ -28,12 +29,7 @@ from ..constants import Technology
 from ..errors import AssignmentError
 from ..geometry import Point
 from ..obs import NULL_COLLECTOR, Collector
-from ..opt.mincostflow import (
-    ArcRef,
-    FlowNetwork,
-    refine_assignment,
-    solve_transportation,
-)
+from ..opt.mincostflow import ArcRef, FlowNetwork, solve_transportation
 from ..rotary import RingArray
 from .cost import (
     Assignment,
@@ -47,31 +43,13 @@ def assign_min_tapping_cost(
     matrix: TappingCostMatrix,
     capacities: Sequence[int],
     backend: Literal["transportation", "ssp"] = "transportation",
-    warm_start: npt.NDArray[np.intp] | None = None,
-    collector: Collector = NULL_COLLECTOR,
 ) -> npt.NDArray[np.intp]:
-    """Optimal capacitated assignment; returns ``assign[i] = ring index``.
-
-    ``warm_start`` (a previous iteration's assignment over the same
-    flip-flop order) re-optimizes by exchange-graph cycle canceling —
-    exactly optimal, and much cheaper than a cold solve when few rows
-    need to move.  An unusable warm start (stale shape, rows now on
-    forbidden arcs, capacity violations, too far from optimal) silently
-    falls back to the cold path.
-    """
+    """Optimal capacitated assignment; returns ``assign[i] = ring index``."""
     if len(capacities) != matrix.num_rings:
         raise AssignmentError(
             f"capacities has {len(capacities)} entries for {matrix.num_rings} rings"
         )
     if backend == "transportation":
-        if warm_start is not None:
-            refined = refine_assignment(
-                matrix.costs, np.asarray(capacities), warm_start
-            )
-            if refined is not None:
-                collector.count("assignment.warm.accepted")
-                return refined
-            collector.count("assignment.warm.rejected")
         return solve_transportation(matrix.costs, np.asarray(capacities))
     if backend == "ssp":
         return _assign_via_ssp(matrix, capacities)
@@ -120,15 +98,12 @@ def network_flow_assignment(
     capacities: Sequence[int] | None = None,
     backend: Literal["transportation", "ssp"] = "transportation",
     cache: TappingCostCache | None = None,
-    warm_start: npt.NDArray[np.intp] | None = None,
     collector: Collector = NULL_COLLECTOR,
 ) -> Assignment:
     """End-to-end Section V assignment returning realized tappings.
 
     With a ``cache`` (the integrated flow's), the realization reuses the
-    tapping solutions computed during the matrix build.  ``warm_start``
-    re-optimizes from a previous assignment (see
-    :func:`assign_min_tapping_cost`).
+    tapping solutions computed during the matrix build.
     """
     caps = (
         array.default_capacities(matrix.num_flipflops)
@@ -141,10 +116,7 @@ def network_flow_assignment(
             "assignment.candidate-arcs",
             sum(int(c.size) for c in matrix.candidates),
         )
-        assign = assign_min_tapping_cost(
-            matrix, caps, backend=backend, warm_start=warm_start,
-            collector=collector,
-        )
+        assign = assign_min_tapping_cost(matrix, caps, backend=backend)
         return realize_assignment(
             assign, matrix, array, positions, targets, tech, cache=cache
         )

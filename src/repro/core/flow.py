@@ -29,8 +29,6 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Literal, Mapping
 
-import numpy as np
-
 from ..constants import DEFAULT_CLOCK_PERIOD_PS, DEFAULT_TECHNOLOGY, Technology
 from ..errors import ReproError
 from ..geometry import Point
@@ -138,11 +136,6 @@ class FlowOptions:
     #: switches to Jacobi-preconditioned CG ("pcg") beyond 20k movable
     #: cells; "direct" is the sparse-LU factorization baseline.
     placer_solver: Literal["auto", "cg", "pcg", "direct"] = "auto"
-    #: Warm-start the stage-3 min-cost-flow re-solve from the previous
-    #: iteration's assignment (exchange-graph cycle canceling; exactly
-    #: optimal, falls back to a cold solve whenever unusable).  Only the
-    #: "flow" assignment engine consumes it.
-    assignment_warm_start: bool = True
     #: Timing-driven placement coupling: "critical" extracts the top-k
     #: most-critical sequential pairs (smallest permissible-range slack)
     #: from the STA each iteration and up-weights the nets on their
@@ -414,12 +407,13 @@ class FlowResult:
     def decision_digest(self) -> str:
         """SHA-256 over the *decision* content of :meth:`to_dict`.
 
-        Wall-clock-derived keys — every ``seconds`` entry and the
-        ``trace`` summary — are stripped recursively before hashing, so
-        two runs that made identical placement/assignment/schedule
-        decisions produce identical digests no matter how long each
-        stage took.  This is the quantity the determinism integration
-        test compares across ``PYTHONHASHSEED`` values.
+        Wall-clock-derived keys — every ``seconds`` entry, the ILP
+        statistics' ``solve_seconds`` and the ``trace`` summary — are
+        stripped recursively before hashing, so two runs that made
+        identical placement/assignment/schedule decisions produce
+        identical digests no matter how long each stage took.  This is
+        the quantity the determinism integration test compares across
+        ``PYTHONHASHSEED`` values.
         """
 
         def strip(value: Any) -> Any:
@@ -427,7 +421,7 @@ class FlowResult:
                 return {
                     key: strip(sub)
                     for key, sub in value.items()
-                    if key not in ("seconds", "trace")
+                    if key not in ("seconds", "solve_seconds", "trace")
                 }
             if isinstance(value, list):
                 return [strip(sub) for sub in value]
@@ -669,10 +663,6 @@ class IntegratedFlow:
         assignment: Assignment | None = None
         ilp_stats: MinMaxCapResult | None = None
         prev_cost = float("inf")
-        # Previous iteration's ring assignment, aligned to the sorted
-        # flip-flop order of the cost matrix — the warm start for the
-        # stage-3 min-cost-flow re-solve.
-        prev_assign: "np.ndarray | None" = None
         # Best iterate seen: (record, assignment, schedule, positions).
         best: (
             tuple[IterationRecord, Assignment, SkewSchedule, dict[str, Point]] | None
@@ -695,14 +685,7 @@ class IntegratedFlow:
                         self.tech,
                         capacities,
                         cache=cache,
-                        warm_start=(
-                            prev_assign if opts.assignment_warm_start else None
-                        ),
                         collector=obs,
-                    )
-                    prev_assign = np.array(
-                        [assignment.ring_of[n] for n in matrix.ff_names],
-                        dtype=np.intp,
                     )
                 else:
                     assignment, ilp_stats = ilp_assignment(

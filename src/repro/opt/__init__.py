@@ -13,7 +13,6 @@ from .mincostflow import (
     ArcRef,
     FlowNetwork,
     FlowResult,
-    refine_assignment,
     solve_transportation,
 )
 from .simplex import solve_simplex
@@ -27,7 +26,6 @@ __all__ = [
     "ArcRef",
     "FORBIDDEN_COST",
     "solve_transportation",
-    "refine_assignment",
     "BBResult",
     "branch_and_bound",
     "SkewConstraint",

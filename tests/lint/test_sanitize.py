@@ -1,5 +1,6 @@
 """Runtime sanitizer: tripwires, restore semantics, env/flow plumbing."""
 
+import dataclasses
 import random
 import time
 
@@ -137,6 +138,19 @@ class TestFlowIntegration:
         # ...but the decision digest is identical.
         assert a.decision_digest() == b.decision_digest()
         assert len(a.decision_digest()) == 64
+
+    def test_decision_digest_ignores_ilp_solve_seconds(self, circuit):
+        opts = FlowOptions(max_iterations=1, assignment="ilp")
+        a = IntegratedFlow(circuit, options=opts).run()
+        assert a.ilp_stats is not None
+        b = dataclasses.replace(
+            a,
+            ilp_stats=dataclasses.replace(
+                a.ilp_stats, solve_seconds=a.ilp_stats.solve_seconds + 7.5
+            ),
+        )
+        assert a.to_dict()["ilp_stats"] != b.to_dict()["ilp_stats"]
+        assert a.decision_digest() == b.decision_digest()
 
     def test_decision_digest_changes_with_decisions(self, circuit):
         a = IntegratedFlow(circuit, options=FlowOptions(max_iterations=1)).run()

@@ -137,6 +137,10 @@ class TestTransportation:
         with pytest.raises(OptimizationError):
             solve_transportation(np.ones((2, 2)), [1])
 
+    def test_negative_capacity_rejected(self):
+        with pytest.raises(OptimizationError, match="non-negative"):
+            solve_transportation(np.ones((2, 2)), [3, -1])
+
     @settings(max_examples=25, deadline=None)
     @given(st.data())
     def test_transportation_matches_ssp(self, data):
