@@ -591,7 +591,10 @@ class IntegratedFlow:
                 ),
                 collector=obs,
             )
-            legal = legalize(placer.place(), region)
+            with obs.span("placement.quadratic"):
+                global_positions = placer.place()
+            with obs.span("placement.legalize"):
+                legal = legalize(global_positions, region)
             positions: dict[str, Point] = dict(placer.fixed_positions)
             positions.update(legal.positions)
             if opts.detailed_refinement:

@@ -34,7 +34,7 @@ from ..errors import SkewOptimizationError
 from ..geometry import Point
 from ..obs import NULL_COLLECTOR, Collector
 from ..opt.lp import LinearProgram
-from ..rotary import RingArray, stub_delay
+from ..rotary import RingArray, RingSegment, stub_delay
 from ..timing import PathBounds
 from .skew_traditional import SkewSchedule, _pair_index_arrays
 
@@ -67,18 +67,39 @@ def ring_attractions(
     The ring offers two complementary phases at ``c`` and repeats every
     period; the candidate delay closest to the flip-flop's *current*
     target is chosen so the LP pulls the target the short way around.
+
+    One pass over a ring's four primary sides (built once per ring)
+    yields ``c``, ``l_i`` and the delay at ``c`` together: the first
+    side with the strictly smallest distance, the side both
+    :meth:`RotaryRing.nearest_point` and
+    :meth:`RotaryRing.delay_candidates_at` pick, so the result is the
+    same as calling the two.
     """
     period = array.period
+    sides: dict[int, list[RingSegment]] = {}
     out: dict[str, RingAttraction] = {}
     for ff, ring_id in ring_of.items():
         ring = array[ring_id]
+        ring_sides = sides.get(ring_id)
+        if ring_sides is None:
+            ring_sides = sides[ring_id] = ring.segments()[:4]
         p = positions[ff]
-        point, dist = ring.nearest_point(p)
+        best_seg = ring_sides[0]
+        dist = 0.0
+        best_x = 0.0
+        for i, seg in enumerate(ring_sides):
+            xf, yf = seg.project(p)
+            x = min(max(xf, 0.0), seg.length)
+            d = abs(x - xf) + yf
+            if i == 0 or d < dist:
+                best_seg, dist, best_x = seg, d, x
+        point = best_seg.point_at(best_x)
+        t = best_seg.delay_at(best_x)
         t_stub = stub_delay(dist, tech)
         target = current[ff]
         best_tc = None
         best_err = None
-        for tc in ring.delay_candidates_at(p):
+        for tc in (t, t + 0.5 * ring.period):
             # Shift tc by whole periods to land nearest the current target.
             k = round((target - (tc + t_stub)) / period)
             tc_adj = tc + k * period

@@ -76,6 +76,18 @@ class TestFlowTraceContents:
             == iterations - 1
         )
 
+    def test_stage1_placement_sub_spans(self, result):
+        (stage1,) = result.trace.by_name("stage1.initial-placement")
+        for name in ("placement.quadratic", "placement.legalize"):
+            inside = [
+                s
+                for s in result.trace.by_name(name)
+                if stage1.start_ns <= s.start_ns
+                and s.end_ns <= stage1.end_ns
+                and s.depth == stage1.depth + 1
+            ]
+            assert len(inside) == 1, name
+
     def test_engine_and_cache_instrumentation(self, result):
         trace = result.trace
         assert trace.counter("flow.iterations") == len(result.history)
