@@ -131,10 +131,11 @@ class FlowOptions:
     #: Quadratic-placer Laplacian assembly ("prefactored" reuses base
     #: triplets across solves; results are bit-identical to "triplets").
     placer_assembly: Literal["prefactored", "triplets"] = "prefactored"
-    #: Quadratic-placer linear solver.  "auto" keeps plain CG on
-    #: ISCAS-scale circuits (bit-identical to the historical engine) and
-    #: switches to Jacobi-preconditioned CG ("pcg") beyond 20k movable
-    #: cells; "direct" is the sparse-LU factorization baseline.
+    #: Quadratic-placer linear solver.  "auto" is "pcg", the in-repo
+    #: Jacobi-preconditioned CG whose reductions are fixed-order numpy
+    #: sums (never BLAS), so placements do not depend on the BLAS thread
+    #: count; "cg" is the same solver unpreconditioned; "direct" is the
+    #: sparse-LU factorization baseline.
     placer_solver: Literal["auto", "cg", "pcg", "direct"] = "auto"
     #: Timing-driven placement coupling: "critical" extracts the top-k
     #: most-critical sequential pairs (smallest permissible-range slack)

@@ -4,8 +4,8 @@ Three families, grouped like the design-rule checker's ``RCKnnn`` codes:
 
 * ``DET0xx`` — determinism hazards: constructs whose observable result
   depends on hash seeding, filesystem enumeration order, global RNG
-  state, or wall-clock time.  These are the static counterpart of the
-  repo's byte-identical-tables guarantee;
+  state, wall-clock time, or the BLAS thread count.  These are the
+  static counterpart of the repo's byte-identical-tables guarantee;
 * ``API0xx`` — API hygiene: mutable defaults, exception handlers that
   swallow everything, unannotated public functions;
 * ``PRG0xx`` — pragma hygiene: suppression comments must carry a
@@ -82,6 +82,16 @@ _REGISTRY: tuple[LintRule, ...] = (
         "concurrently on pool threads or in forked workers, so such "
         "writes race or silently diverge between backends.  Kernels "
         "must write only through their declared output views.",
+        Severity.ERROR,
+    ),
+    LintRule(
+        "DET007",
+        "blas-reduction",
+        "numpy.dot/vdot/inner, numpy.linalg.norm and the "
+        "scipy.sparse.linalg Krylov solvers reduce through BLAS, whose "
+        "summation order (hence rounding) follows the host's BLAS "
+        "thread count; use a fixed-order reduction such as "
+        "float(np.add.reduce(u * v)).",
         Severity.ERROR,
     ),
     LintRule(

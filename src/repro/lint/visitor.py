@@ -48,6 +48,16 @@ _FS_LISTING = {
     "os.walk", "pathlib.Path.iterdir",
 }
 _PATHLIKE_LISTING_ATTRS = {"iterdir", "rglob", "glob"}
+#: Reductions whose rounding depends on the BLAS thread count (DET007).
+_BLAS_REDUCTIONS = {
+    "numpy.dot", "numpy.vdot", "numpy.inner", "numpy.linalg.norm",
+} | {
+    f"scipy.sparse.linalg.{name}"
+    for name in (
+        "cg", "bicg", "bicgstab", "cgs", "gmres", "lgmres", "minres",
+        "qmr", "tfqmr", "gcrotmk",
+    )
+}
 _SET_RETURNING_METHODS = {
     "union", "intersection", "difference", "symmetric_difference", "copy",
 }
@@ -455,6 +465,21 @@ class DeterminismVisitor(ast.NodeVisitor):
                             "results must not depend on when they were "
                             "computed; time.monotonic/perf_counter are "
                             "fine for latency metrics"
+                        ),
+                    )
+                )
+            # DET007: BLAS-threaded reductions.
+            if dotted in _BLAS_REDUCTIONS:
+                self.findings.append(
+                    _finding(
+                        "DET007",
+                        node,
+                        self.path,
+                        f"{dotted}() reduces through BLAS; its rounding "
+                        "depends on the BLAS thread count",
+                        hint=(
+                            "use a fixed-order reduction, e.g. "
+                            "float(np.add.reduce(u * v))"
                         ),
                     )
                 )

@@ -5,8 +5,9 @@ can be used without any change"; any analytic placer exposing pseudo-net
 hooks fits the flow.  This is a GORDIAN-style engine:
 
 1. nets become springs (clique model for small nets, star with an
-   auxiliary node for large ones) and the resulting sparse SPD system is
-   solved for x and y independently;
+   auxiliary node for large ones); x and y share the resulting sparse
+   SPD matrix and differ only in the right-hand side, and each is
+   solved by Jacobi-preconditioned CG with fixed-order reductions;
 2. cells are spread by recursive area bisection — each subregion's cells
    get anchor springs toward their subregion, and the system is re-solved
    level by level;
@@ -41,12 +42,10 @@ AnchorArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
 _CLIQUE_MAX_DEGREE = 5
 #: Tiny centering anchor guaranteeing a non-singular system.
 _EPS_ANCHOR = 1e-6
-#: ``solver="auto"`` switches from plain CG to Jacobi-preconditioned CG
-#: above this many movable cells.  The threshold sits above the largest
-#: bundled circuit (s35932, 17005 movables) so ISCAS-scale flows keep
-#: the historical solver bit-for-bit; scale profiles get the
-#: preconditioned path.
-_PCG_AUTO_THRESHOLD = 20_000
+#: CG stopping rule: ``||r|| < _CG_RTOL * ||b||`` within ``_CG_MAXITER``
+#: iterations, else the counted ``spsolve`` fallback.
+_CG_RTOL = 1e-8
+_CG_MAXITER = 2000
 
 
 def _checked_weight(value: float, what: str) -> float:
@@ -63,6 +62,80 @@ def _checked_weight(value: float, what: str) -> float:
             f"{what} must be a finite non-negative number, got {value!r}"
         )
     return w
+
+
+def _check_finite_anchor(anchor: Point, what: str) -> None:
+    """Raise :class:`PlacementError` naming ``what`` when an anchor
+    coordinate is NaN or infinite (it would otherwise turn every solved
+    position into NaN without an error)."""
+    if not (math.isfinite(anchor.x) and math.isfinite(anchor.y)):
+        raise PlacementError(
+            f"{what} has a non-finite anchor ({anchor.x!r}, {anchor.y!r})"
+        )
+
+
+def _dot(u: np.ndarray, v: np.ndarray) -> float:
+    """Inner product as numpy's pairwise sum: single-threaded, with a
+    summation order fixed by the algorithm (never BLAS ``ddot``, whose
+    rounding follows the host's thread count)."""
+    return float(np.add.reduce(u * v))
+
+
+def _pcg(
+    A: sp.csr_matrix,
+    b: np.ndarray,
+    x0: np.ndarray | None,
+    rtol: float,
+    maxiter: int,
+    inv_diag: np.ndarray | None,
+    *,
+    axis: str = "?",
+) -> tuple[np.ndarray, int, bool]:
+    """Jacobi-preconditioned conjugate gradients on the SPD system ``A``.
+
+    Returns ``(x, iterations, converged)``.  ``inv_diag=None`` is plain
+    CG (identity preconditioner).  The iteration and stopping rule are
+    scipy's ``cg``: stop when ``||r|| < rtol * ||b||``, give up after
+    ``maxiter`` iterations, and return ``b`` itself when ``||b|| = 0``.
+    Every reduction goes through :func:`_dot`, and ``A @ p`` is scipy's
+    single-threaded ``csr_matvec``, so the result is a function of the
+    inputs alone, whatever the BLAS thread count.
+
+    A non-finite ``rho = r.z`` or ``p.Ap`` (NaN/inf in the system or the
+    rhs) raises :class:`PlacementError` naming ``axis`` and the
+    iteration, instead of iterating to ``maxiter`` on NaN.
+    """
+    bnrm = math.sqrt(_dot(b, b))
+    if bnrm == 0.0:
+        return b, 0, True
+    atol = rtol * bnrm
+    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=np.float64)
+    r = b - A @ x if x.any() else b.copy()
+    p = np.empty_like(r)
+    rho_prev = 0.0
+    for iteration in range(maxiter):
+        if math.sqrt(_dot(r, r)) < atol:
+            return x, iteration, True
+        z = r if inv_diag is None else inv_diag * r
+        rho = _dot(r, z)
+        if iteration > 0:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p[:] = z
+        q = A @ p
+        pq = _dot(p, q)
+        if not (math.isfinite(rho) and math.isfinite(pq)):
+            raise PlacementError(
+                f"CG breakdown on the {axis} axis at iteration "
+                f"{iteration}: rho={rho!r}, p.Ap={pq!r} (non-finite "
+                "system or right-hand side)"
+            )
+        alpha = rho / pq
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
 
 
 @dataclass(frozen=True, slots=True)
@@ -82,15 +155,14 @@ class PlacerOptions:
     assembly: Literal["prefactored", "triplets"] = "prefactored"
     #: Linear solver for the SPD axis systems:
     #:
-    #: * ``"cg"`` — plain conjugate gradients (the historical path);
-    #: * ``"pcg"`` — Jacobi-preconditioned CG; same tolerance, far fewer
-    #:   iterations on ill-conditioned 100k-cell systems;
+    #: * ``"pcg"`` — Jacobi-preconditioned CG (:func:`_pcg`), about half
+    #:   the iterations of plain CG at the same tolerance;
+    #: * ``"cg"`` — the same solver with the identity preconditioner;
     #: * ``"direct"`` — sparse LU factorization per solve;
     #: * ``"dense"`` — dense LU per solve (materializes the full matrix;
     #:   the dense-factorization baseline of ``benchmarks/bench_scale.py``
     #:   — O(n^2) memory, never auto-selected);
-    #: * ``"auto"`` — ``"cg"`` up to ``_PCG_AUTO_THRESHOLD`` movable
-    #:   cells, ``"pcg"`` beyond.
+    #: * ``"auto"`` — ``"pcg"``.
     solver: Literal["auto", "cg", "pcg", "direct", "dense"] = "auto"
 
 
@@ -118,9 +190,7 @@ class QuadraticPlacer:
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
         if self.options.solver == "auto":
-            self._solver_mode = (
-                "cg" if len(self._movable) <= _PCG_AUTO_THRESHOLD else "pcg"
-            )
+            self._solver_mode = "pcg"
         elif self.options.solver in ("cg", "pcg", "direct", "dense"):
             self._solver_mode = self.options.solver
         else:
@@ -271,16 +341,28 @@ class QuadraticPlacer:
             rhs_y,
         )
 
-    def _linear_solve(
-        self, A: sp.csr_matrix, rhs: np.ndarray, x0: np.ndarray | None
-    ) -> np.ndarray:
-        """Solve the SPD axis system with the configured solver mode.
+    def _jacobi(self, A: sp.csr_matrix) -> np.ndarray | None:
+        """``1/diag(A)`` in ``"pcg"`` mode, else None.
 
-        ``"cg"`` reproduces the historical solve exactly (same scipy
-        call, same fallback); ``"pcg"`` adds a Jacobi preconditioner —
-        the diagonal of a spring Laplacian plus anchors is strictly
-        positive, so ``M = diag(A)^-1`` is well defined; ``"direct"``
-        factors the system per solve (sparse LU).
+        The diagonal of a spring Laplacian plus the eps anchors is
+        strictly positive, so the Jacobi preconditioner is well defined.
+        """
+        return 1.0 / A.diagonal() if self._solver_mode == "pcg" else None
+
+    def _linear_solve(
+        self,
+        A: sp.csr_matrix,
+        rhs: np.ndarray,
+        x0: np.ndarray | None,
+        inv_diag: np.ndarray | None,
+        axis: str,
+    ) -> np.ndarray:
+        """Solve one SPD axis system with the configured solver mode.
+
+        ``"pcg"`` and ``"cg"`` both run :func:`_pcg` (with and without
+        ``inv_diag``) and fall back, counted, to ``spsolve`` when it does
+        not converge; ``"direct"`` factors the system per solve (sparse
+        LU) and ``"dense"`` densifies it (LAPACK LU).
         """
         mode = self._solver_mode
         if mode == "dense":
@@ -291,15 +373,12 @@ class QuadraticPlacer:
         if mode == "direct":
             self.collector.count("placement.solver.direct")
             return np.asarray(spla.splu(A.tocsc()).solve(rhs))
-        M = None
-        if mode == "pcg":
-            self.collector.count("placement.solver.pcg")
-            inv_diag = 1.0 / A.diagonal()
-            M = spla.LinearOperator(A.shape, matvec=lambda v: inv_diag * v)
-        else:
-            self.collector.count("placement.solver.cg")
-        sol, info = spla.cg(A, rhs, x0=x0, rtol=1e-8, maxiter=2000, M=M)
-        if info != 0:
+        self.collector.count(f"placement.solver.{mode}")
+        sol, iterations, converged = _pcg(
+            A, rhs, x0, _CG_RTOL, _CG_MAXITER, inv_diag, axis=axis
+        )
+        self.collector.count("placement.solver.iterations", iterations)
+        if not converged:
             self.collector.count("placement.solver.fallbacks")
             sol = spla.spsolve(A.tocsc(), rhs)
         return np.asarray(sol)
@@ -316,48 +395,51 @@ class QuadraticPlacer:
         arr = np.asarray(anchors, dtype=np.float64)
         return arr[:, 0].astype(np.int64), arr[:, 1], arr[:, 2]
 
-    def _solve_axis_prefactored(
+    def _solve_prefactored(
         self,
-        axis: int,
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        warm: np.ndarray | None,
-    ) -> np.ndarray:
-        """Prefactored twin of :meth:`_solve_axis_triplets`: base triplets
-        are reused; only the anchor diagonal entries are appended."""
+        anchors_x: AnchorArrays,
+        anchors_y: AnchorArrays,
+        warm_x: np.ndarray | None,
+        warm_y: np.ndarray | None,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Prefactored twin of :meth:`_solve_axis_triplets`, both axes at
+        once: base triplets are reused, only the anchor diagonal entries
+        are appended, and x and y are solved on one CSR matrix (and one
+        Jacobi preconditioner).
+
+        Sharing is exact: both axes carry the same anchor cells and
+        weights in the same order (base anchors, then each spreading
+        region's cells); only the targets, hence the rhs, differ.
+        """
         assert self._base is not None
         base_rows, base_cols, base_vals, base_rhs_x, base_rhs_y = self._base
+        a_idx, a_tx, a_w = anchors_x
+        a_idx_y, a_ty, a_w_y = anchors_y
+        assert np.array_equal(a_idx, a_idx_y) and np.array_equal(a_w, a_w_y)
         n = len(self._movable)
         n_aux = len(self._star_nets)
         size = n + n_aux
-        a_idx, a_tgt, a_w = self._anchor_arrays(anchors)
         rows = np.concatenate([base_rows, a_idx])
         cols = np.concatenate([base_cols, a_idx])
         vals = np.concatenate([base_vals, a_w])
-        rhs = (base_rhs_x if axis == 0 else base_rhs_y).copy()
-        # ufunc.at accumulates sequentially in index order, matching the
-        # scalar path's per-anchor ``rhs[i] += w * target`` fold.
-        np.add.at(rhs, a_idx, a_w * a_tgt)
-        self.collector.count("placement.assembly.reuses")
-
         A = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        x0 = None
-        if warm is not None:
-            center = (self.region.bbox.center.x, self.region.bbox.center.y)[axis]
-            x0 = np.concatenate([warm, np.full(n_aux, center)])
-        sol = self._linear_solve(A, rhs, x0)
-        return sol[:n]
-
-    def _solve_axis(
-        self,
-        axis: int,
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        warm: np.ndarray | None,
-    ) -> np.ndarray:
-        if self._base is not None:
-            return self._solve_axis_prefactored(axis, anchors, warm)
-        if isinstance(anchors, tuple):  # array form only in prefactored mode
-            anchors = list(zip(anchors[0].tolist(), anchors[1], anchors[2]))
-        return self._solve_axis_triplets(axis, anchors, warm)
+        inv_diag = self._jacobi(A)
+        center = self.region.bbox.center
+        solutions = []
+        for axis, base_rhs, a_tgt, warm, c in (
+            ("x", base_rhs_x, a_tx, warm_x, center.x),
+            ("y", base_rhs_y, a_ty, warm_y, center.y),
+        ):
+            rhs = base_rhs.copy()
+            # ufunc.at accumulates sequentially in index order, matching
+            # the scalar path's per-anchor ``rhs[i] += w * target`` fold.
+            np.add.at(rhs, a_idx, a_w * a_tgt)
+            self.collector.count("placement.assembly.reuses")
+            x0 = None
+            if warm is not None:
+                x0 = np.concatenate([warm, np.full(n_aux, c)])
+            solutions.append(self._linear_solve(A, rhs, x0, inv_diag, axis)[:n])
+        return solutions[0], solutions[1]
 
     def _solve_axis_triplets(
         self,
@@ -412,7 +494,7 @@ class QuadraticPlacer:
         x0 = None
         if warm is not None:
             x0 = np.concatenate([warm, np.full(n_aux, center)])
-        sol = self._linear_solve(A, rhs, x0)
+        sol = self._linear_solve(A, rhs, x0, self._jacobi(A), "xy"[axis])
         return sol[:n]
 
     def _solve(
@@ -422,8 +504,17 @@ class QuadraticPlacer:
         warm_x: np.ndarray | None = None,
         warm_y: np.ndarray | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        x = self._solve_axis(0, anchors_x, warm_x)
-        y = self._solve_axis(1, anchors_y, warm_y)
+        if self._base is not None:
+            return self._solve_prefactored(
+                self._anchor_arrays(anchors_x),
+                self._anchor_arrays(anchors_y),
+                warm_x,
+                warm_y,
+            )
+        # Array-form anchors are built only in prefactored mode.
+        assert isinstance(anchors_x, list) and isinstance(anchors_y, list)
+        x = self._solve_axis_triplets(0, anchors_x, warm_x)
+        y = self._solve_axis_triplets(1, anchors_y, warm_y)
         return x, y
 
     # ------------------------------------------------------------------
@@ -449,6 +540,7 @@ class QuadraticPlacer:
             w = _checked_weight(
                 pn.weight, f"weight of pseudo net to cell {pn.cell!r}"
             )
+            _check_finite_anchor(pn.anchor, f"pseudo net to cell {pn.cell!r}")
             base_x.append((idx, pn.anchor.x, w))
             base_y.append((idx, pn.anchor.y, w))
         if stability_weight:
@@ -463,6 +555,7 @@ class QuadraticPlacer:
                 idx = self._index.get(name)
                 if idx is None:
                     continue
+                _check_finite_anchor(p, f"stability anchor of cell {name!r}")
                 base_x.append((idx, p.x, stability_weight))
                 base_y.append((idx, p.y, stability_weight))
                 warm_x[idx] = p.x

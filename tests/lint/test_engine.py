@@ -49,7 +49,7 @@ class TestConfig:
 
     def test_rule_lookup(self):
         assert rule_by_code("DET001").name == "set-iteration"
-        assert len(registered_lint_rules()) == 11
+        assert len(registered_lint_rules()) == 12
 
 
 class TestPaths:

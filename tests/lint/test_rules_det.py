@@ -357,3 +357,70 @@ class TestDet006KernelGlobalMutation:
         """
         findings = lint_source(dedent(src))
         assert "DET006" not in [f.code for f in findings]
+
+
+class TestDet007BlasReduction:
+    @pytest.mark.parametrize(
+        "call",
+        ["np.dot(u, v)", "np.vdot(u, v)", "np.inner(u, v)", "np.linalg.norm(r)"],
+    )
+    def test_numpy_blas_reductions(self, call):
+        assert codes(f"import numpy as np\nx = {call}\n") == ["DET007"]
+
+    def test_from_import_of_norm(self):
+        src = """
+        from numpy.linalg import norm
+        x = norm(r)
+        """
+        assert codes(src) == ["DET007"]
+
+    @pytest.mark.parametrize(
+        "solver",
+        ["cg", "bicg", "bicgstab", "cgs", "gmres", "lgmres", "minres",
+         "qmr", "tfqmr", "gcrotmk"],
+    )
+    def test_scipy_krylov_solvers(self, solver):
+        src = f"""
+        import scipy.sparse.linalg as spla
+        x, info = spla.{solver}(A, b)
+        """
+        assert codes(src) == ["DET007"]
+
+    def test_fully_qualified_scipy_cg(self):
+        src = """
+        import scipy.sparse.linalg
+        x, info = scipy.sparse.linalg.cg(A, b)
+        """
+        assert codes(src) == ["DET007"]
+
+    def test_fixed_order_reductions_are_clean(self):
+        src = """
+        import numpy as np
+        import scipy.sparse.linalg as spla
+        rho = float(np.add.reduce(u * v))
+        total = np.sum(r * r)
+        q = A @ p
+        lu = spla.splu(A)
+        x = spla.spsolve(A, b)
+        """
+        assert codes(src) == []
+
+    def test_unrelated_dot_names_are_clean(self):
+        src = """
+        import mylib
+        x = mylib.dot(u, v)
+        y = u.dot(v)
+        """
+        assert codes(src) == []
+
+    def test_pragma_suppresses_with_justification(self):
+        src = (
+            "import numpy as np\n"
+            "x = np.dot(u, v)  # repro: lint-disable=DET007 "
+            "-- 3-vector, below any BLAS threading threshold\n"
+        )
+        assert codes(src) == []
+
+    def test_unjustified_pragma_does_not_suppress(self):
+        src = "import numpy as np\nx = np.dot(u, v)  # repro: lint-disable=DET007\n"
+        assert sorted(codes(src)) == ["DET007", "PRG001"]

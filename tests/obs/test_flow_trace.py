@@ -125,3 +125,33 @@ class TestFlowTraceContents:
         doc = result.to_dict()
         assert doc["trace"] is None
         json.dumps(doc)  # still fully serializable
+
+
+class TestPlacerSolverCounters:
+    def test_s5378_solver_iterations_and_solve_counts(self, monkeypatch):
+        """``placement.solver.iterations`` sums the PCG iterations of
+        every axis solve, and each axis solve counts exactly once under
+        ``placement.solver.pcg`` (what perfbench's ``cg_solves`` reads)."""
+        import repro.placement.quadratic as quadratic
+        from repro.api import FlowRequest, run_flow
+
+        solves: list[int] = []
+        pcg = quadratic._pcg
+
+        def spy(*args, **kwargs):
+            out = pcg(*args, **kwargs)
+            solves.append(out[1])
+            return out
+
+        monkeypatch.setattr(quadratic, "_pcg", spy)
+        obs = TraceCollector()
+        run_flow(FlowRequest(circuit="s5378"), collector=obs)
+        trace = obs.trace()
+        assert len(solves) > 0 and all(n > 0 for n in solves)
+        assert trace.counter("placement.solver.iterations") == sum(solves)
+        assert trace.counter("placement.solver.pcg") == len(solves)
+        assert trace.counter("placement.solver.pcg") == trace.counter(
+            "placement.assembly.reuses"
+        )
+        assert trace.counter("placement.solver.cg") == 0
+        assert trace.counter("placement.solver.fallbacks") == 0

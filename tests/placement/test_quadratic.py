@@ -1,5 +1,7 @@
 """Tests for the quadratic global placer."""
 
+import math
+
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
@@ -83,6 +85,38 @@ class TestGlobalPlacement:
         a = QuadraticPlacer(tiny_circuit, region).place()
         b = QuadraticPlacer(tiny_circuit, region).place()
         assert all(a[n].manhattan(b[n]) < 1e-6 for n in a)
+
+
+class TestNonFiniteAnchors:
+    """A NaN/inf anchor coordinate used to run the full solve and return
+    NaN for every cell; it must fail up front, naming the cell."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_pseudo_net_anchor(self, tiny_circuit, bad):
+        region = region_for_circuit(tiny_circuit, TECH)
+        ff = tiny_circuit.flip_flops[0].name
+        placer = QuadraticPlacer(tiny_circuit, region)
+        with pytest.raises(PlacementError, match=rf"pseudo net to cell '{ff}'.*{bad!r}"):
+            placer.place(pseudo_nets=[PseudoNet(ff, Point(1.0, bad), weight=1.0)])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_stability_anchor(self, tiny_circuit, bad):
+        region = region_for_circuit(tiny_circuit, TECH)
+        placer = QuadraticPlacer(tiny_circuit, region)
+        anchors = dict(placer.place())
+        cell = next(iter(anchors))
+        anchors[cell] = Point(bad, 1.0)
+        with pytest.raises(
+            PlacementError, match=rf"stability anchor of cell '{cell}'.*{bad!r}"
+        ):
+            placer.place(stability_anchors=anchors, stability_weight=1.0)
+
+    def test_unused_stability_anchors_are_not_checked(self, tiny_circuit):
+        """With zero weight the anchors never enter the system."""
+        region = region_for_circuit(tiny_circuit, TECH)
+        placer = QuadraticPlacer(tiny_circuit, region)
+        anchors = {name: Point(math.nan, 1.0) for name in placer.place()}
+        placer.place(stability_anchors=anchors, stability_weight=0.0)
 
 
 class TestPseudoNet:

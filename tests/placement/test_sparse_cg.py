@@ -1,13 +1,13 @@
 """Solver-mode equivalence for the sparse preconditioned placement path.
 
-``solver="cg"`` is the historical bit-identical path; ``"pcg"`` (Jacobi-
-preconditioned CG, auto-selected past 20k movables), ``"direct"``
-(sparse LU) and ``"dense"`` (LAPACK factorization, the bench_scale
-baseline) must land on the same minimizer of the same quadratic — the
-positions may differ only by solver tolerance, far below anything the
-downstream flow quantizes on.  The flow-level test then pins the actual
-decisions: running the integrated flow with the preconditioned solver
-must reproduce the default flow's ring assignment and schedule.
+``solver="pcg"`` (Jacobi-preconditioned CG, what ``"auto"`` resolves
+to), ``"cg"`` (the same solver unpreconditioned), ``"direct"`` (sparse
+LU) and ``"dense"`` (LAPACK factorization, the bench_scale baseline)
+must land on the same minimizer of the same quadratic — the positions
+may differ only by solver tolerance, far below anything the downstream
+flow quantizes on.  The flow-level test then pins the actual decisions:
+running the integrated flow with plain CG must reproduce the default
+flow's ring assignment and schedule.
 """
 
 import pytest
@@ -16,7 +16,6 @@ from repro.constants import DEFAULT_TECHNOLOGY
 from repro.core import FlowOptions
 from repro.netlist import PROFILE_ORDER, generate_named
 from repro.placement import PlacerOptions, QuadraticPlacer, region_for_circuit
-import repro.placement.quadratic as quadratic_mod
 from repro.api import run_flow
 from repro.errors import PlacementError
 
@@ -48,13 +47,12 @@ def assert_identical(a: dict, b: dict) -> None:
 
 class TestSolverModeEquivalence:
     @pytest.mark.parametrize("name", PROFILE_ORDER)
-    def test_auto_is_cg_below_threshold(self, name):
-        """All bundled circuits sit under the pcg auto-threshold, so the
-        default solver stays bit-identical to the historical CG path."""
+    def test_auto_is_pcg(self, name):
+        """``"auto"`` is Jacobi PCG at every size, bit for bit."""
         circuit = generate_named(name)
         assert_identical(
             _place(circuit, "auto", max_levels=1),
-            _place(circuit, "cg", max_levels=1),
+            _place(circuit, "pcg", max_levels=1),
         )
 
     @pytest.mark.parametrize("name", PROFILE_ORDER)
@@ -79,8 +77,8 @@ class TestSolverModeEquivalence:
         assert_close(dense, cg)
         assert_close(dense, direct, tol=1e-6)
 
-    def test_auto_selects_pcg_above_threshold(self, monkeypatch):
-        monkeypatch.setattr(quadratic_mod, "_PCG_AUTO_THRESHOLD", 10)
+    def test_auto_resolves_to_pcg(self):
+        """No size threshold: the smallest bundled circuit gets PCG too."""
         circuit = generate_named("s5378")
         region = region_for_circuit(circuit, TECH)
         placer = QuadraticPlacer(circuit, region, PlacerOptions(solver="auto"))
@@ -102,14 +100,15 @@ class TestSolverModeEquivalence:
 class TestFlowDecisionsUnchanged:
     def test_pcg_flow_reproduces_default_decisions(self):
         """The §V flow's discrete decisions — ring assignment, iteration
-        count, schedule — are invariant to the cg->pcg solver swap."""
+        count, schedule — are invariant to the preconditioner: the
+        default (PCG) flow and a plain-CG flow decide alike."""
         default = run_flow("s5378")
-        pcg = run_flow("s5378", options=FlowOptions(placer_solver="pcg"))
-        assert pcg.assignment.ring_of == default.assignment.ring_of
-        assert len(pcg.history) == len(default.history)
-        assert set(pcg.schedule.targets) == set(default.schedule.targets)
+        cg = run_flow("s5378", options=FlowOptions(placer_solver="cg"))
+        assert cg.assignment.ring_of == default.assignment.ring_of
+        assert len(cg.history) == len(default.history)
+        assert set(cg.schedule.targets) == set(default.schedule.targets)
         for ff, t in default.schedule.targets.items():
-            assert pcg.schedule.targets[ff] == pytest.approx(t, abs=1e-6)
-        assert pcg.final.total_wirelength == pytest.approx(
+            assert cg.schedule.targets[ff] == pytest.approx(t, abs=1e-6)
+        assert cg.final.total_wirelength == pytest.approx(
             default.final.total_wirelength, rel=1e-6
         )
