@@ -1,18 +1,16 @@
 """Per-iteration hot-path guards: vectorized STA and prefactored assembly.
 
-Times the two kernels this PR moved off the flow's critical path and
-fails on regression:
+Times the two kernels that keep the flow's iterations cheap and fails
+on regression:
 
 * the vectorized positional timing pass vs a full scalar
   :class:`SequentialTiming` rebuild (must be >= 3x on s5378 and s9234);
-* the prefactored Laplacian assembly vs per-call triplet rebuilds for
-  repeated anchored ``place()`` calls.
+* the placer's prefactored Laplacian assembly vs the per-call triplet
+  rebuild of the test oracle :class:`oracles.TripletsPlacer`, for
+  repeated anchored ``place()`` calls (must be >= 1.2x).
 
-Every measurement is appended to ``BENCH_hotpaths.json`` in the working
-directory (the perf-smoke CI job archives it next to ``BENCH_ci.json``),
-including an end-to-end scalar-vs-vectorized flow comparison that is
-recorded but not gated here — the full-flow equivalence itself is pinned
-by ``tests/core/test_flow_regression.py``.
+Every measurement is written to ``BENCH_hotpaths.json`` in the working
+directory (the perf-smoke CI job archives it next to ``BENCH_ci.json``).
 """
 
 import json
@@ -23,16 +21,12 @@ from pathlib import Path
 import pytest
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core import FlowOptions, IntegratedFlow
 from repro.geometry import Point
-from repro.netlist import PROFILES, generate_named
-from repro.placement import (
-    PlacerOptions,
-    PseudoNet,
-    QuadraticPlacer,
-    region_for_circuit,
-)
+from repro.netlist import generate_named
+from repro.placement import PseudoNet, QuadraticPlacer, region_for_circuit
 from repro.timing import SequentialTiming, VectorizedTiming
+
+from oracles import TripletsPlacer
 
 TECH = DEFAULT_TECHNOLOGY
 CIRCUITS = ("s5378", "s9234")
@@ -98,9 +92,9 @@ def test_prefactored_assembly_speedup(name):
         for ff in circuit.flip_flops[:16]
     ]
 
-    def run(assembly: str) -> float:
-        placer = QuadraticPlacer(circuit, region, PlacerOptions(assembly=assembly))
-        placer.place()  # warm start + (for prefactored) base build
+    def run(placer_cls: type[QuadraticPlacer]) -> float:
+        placer = placer_cls(circuit, region)
+        placer.place()  # warm start + (for the production placer) base build
         return _best_of(
             lambda: placer.place(
                 pseudo_nets=pseudo, stability_anchors=anchors, stability_weight=0.02
@@ -108,8 +102,8 @@ def test_prefactored_assembly_speedup(name):
             rounds=3,
         )
 
-    triplets_s = run("triplets")
-    prefactored_s = run("prefactored")
+    triplets_s = run(TripletsPlacer)
+    prefactored_s = run(QuadraticPlacer)
     speedup = triplets_s / prefactored_s
     RESULTS.setdefault("placer_assembly", {})[name] = {
         "triplets_s": triplets_s,
@@ -117,32 +111,3 @@ def test_prefactored_assembly_speedup(name):
         "speedup": speedup,
     }
     assert speedup >= 1.2, f"{name}: prefactored assembly only {speedup:.2f}x"
-
-
-def test_flow_end_to_end_recorded():
-    """Record (not gate) the whole-flow effect of both engines on s5378."""
-    name = "s5378"
-    side = PROFILES[name].ring_grid_side
-
-    def run_flow(sta_engine: str, placer_assembly: str):
-        options = FlowOptions(
-            ring_grid_side=side,
-            sta_engine=sta_engine,
-            placer_assembly=placer_assembly,
-        )
-        t0 = time.perf_counter()
-        result = IntegratedFlow(generate_named(name), options=options).run()
-        return time.perf_counter() - t0, result
-
-    vec_s, vec = run_flow("vectorized", "prefactored")
-    sca_s, sca = run_flow("scalar", "triplets")
-    RESULTS["flow_end_to_end"] = {
-        name: {
-            "scalar_s": sca_s,
-            "vectorized_s": vec_s,
-            "speedup": sca_s / vec_s,
-            "iterations": len(vec.history),
-        }
-    }
-    assert len(vec.history) == len(sca.history)
-    assert vec.final.tapping_wirelength == sca.final.tapping_wirelength

@@ -11,12 +11,18 @@ artifacts at the end of the run so they are captured in ``bench_output.txt``.
 from __future__ import annotations
 
 import os
+import sys
+from pathlib import Path
 
 import pytest
 
 from repro.core import FlowOptions
 from repro.experiments import ExperimentSuite
 from repro.netlist import PROFILE_ORDER
+
+# The test oracles (tests/oracles.py) are the baselines of the gates
+# that time a production engine against the simpler path it replaced.
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 _ARTIFACTS: list[tuple[str, str]] = []
 

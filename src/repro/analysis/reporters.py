@@ -7,9 +7,9 @@ SARIF 2.1.0 for code-scanning UIs (the CI job uploads the SARIF artifact).
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 
-from .diagnostics import CheckReport
+from .diagnostics import CheckReport, Diagnostic
 from .rules import registered_rules
 
 SARIF_VERSION = "2.1.0"
@@ -53,9 +53,22 @@ def render_json(report: CheckReport) -> str:
     return json.dumps(doc, indent=2, sort_keys=False)
 
 
-def sarif_document(report: CheckReport) -> dict[str, Any]:
-    """The SARIF 2.1.0 log object for one checker run."""
-    rules = registered_rules()
+def sarif_log(
+    tool: str,
+    rules: Sequence[Any],
+    findings: Iterable[Any],
+    location: Callable[[Any], dict[str, Any]],
+    *,
+    successful: bool,
+) -> dict[str, Any]:
+    """A SARIF 2.1.0 log object with one run of ``tool``.
+
+    ``rules`` carry ``code``/``name``/``description``/``default_severity``
+    and ``findings`` carry ``code``/``severity``/``message``/``hint`` —
+    the shape shared by design-rule diagnostics and lint findings.
+    ``location`` maps one finding to its SARIF location object, the one
+    part that differs between the two (logical vs physical).
+    """
     rule_index = {r.code: i for i, r in enumerate(rules)}
     descriptors: list[dict[str, Any]] = [
         {
@@ -67,28 +80,15 @@ def sarif_document(report: CheckReport) -> dict[str, Any]:
         for r in rules
     ]
     results: list[dict[str, Any]] = []
-    for d in report.findings:
-        message = d.message if not d.hint else f"{d.message}. Hint: {d.hint}"
+    for f in findings:
+        message = f.message if not f.hint else f"{f.message}. Hint: {f.hint}"
         result: dict[str, Any] = {
-            "ruleId": d.code,
-            "level": d.severity.sarif_level,
+            "ruleId": f.code,
+            "level": f.severity.sarif_level,
             "message": {"text": message},
-            "locations": [
-                {
-                    "logicalLocations": [
-                        {
-                            "name": d.location.name,
-                            "fullyQualifiedName": (
-                                f"{report.design}/{d.location.kind}/"
-                                f"{d.location.name}"
-                            ),
-                            "kind": d.location.kind,
-                        }
-                    ]
-                }
-            ],
+            "locations": [location(f)],
         }
-        idx = rule_index.get(d.code)
+        idx = rule_index.get(f.code)
         if idx is not None:
             result["ruleIndex"] = idx
         results.append(result)
@@ -99,7 +99,7 @@ def sarif_document(report: CheckReport) -> dict[str, Any]:
             {
                 "tool": {
                     "driver": {
-                        "name": TOOL_NAME,
+                        "name": tool,
                         "version": _tool_version(),
                         "informationUri": (
                             "https://github.com/paper-repro/rotary-clocking"
@@ -107,13 +107,37 @@ def sarif_document(report: CheckReport) -> dict[str, Any]:
                         "rules": descriptors,
                     }
                 },
-                "invocations": [
-                    {"executionSuccessful": not report.has_errors}
-                ],
+                "invocations": [{"executionSuccessful": successful}],
                 "results": results,
             }
         ],
     }
+
+
+def sarif_document(report: CheckReport) -> dict[str, Any]:
+    """The SARIF 2.1.0 log object for one checker run (logical locations:
+    design objects, not files)."""
+
+    def location(d: Diagnostic) -> dict[str, Any]:
+        return {
+            "logicalLocations": [
+                {
+                    "name": d.location.name,
+                    "fullyQualifiedName": (
+                        f"{report.design}/{d.location.kind}/{d.location.name}"
+                    ),
+                    "kind": d.location.kind,
+                }
+            ]
+        }
+
+    return sarif_log(
+        TOOL_NAME,
+        registered_rules(),
+        report.findings,
+        location,
+        successful=not report.has_errors,
+    )
 
 
 def render_sarif(report: CheckReport) -> str:

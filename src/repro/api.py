@@ -98,8 +98,8 @@ _EXECUTION_ONLY_OPTION_PATHS: frozenset[str] = frozenset(
 #: :data:`~repro.core.EXECUTION_ONLY_OPTION_FIELDS` carve-out
 #: (``jobs``, the intra-run worker count, whose dispatch layer is
 #: bit-identical for any value) is classified result-affecting** (even
-#: engine-selection knobs like ``sta_engine`` or ``placer_assembly`` pin
-#: exact numeric paths), so a new flow knob lands in the digest
+#: mode knobs like ``assignment`` or ``net_weighting`` that may
+#: coincide on some designs), so a new flow knob lands in the digest
 #: automatically and the server's :class:`~repro.server.cache.ResultCache`
 #: and the experiments :class:`~repro.experiments.CheckpointStore` can
 #: never serve a result computed under different options.  Entries with

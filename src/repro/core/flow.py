@@ -37,7 +37,6 @@ from ..obs import NULL_COLLECTOR, Collector, Trace, TraceCollector
 from ..parallel import resolve_jobs
 from ..placement import (
     IncrementalOptions,
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     incremental_place,
@@ -48,7 +47,6 @@ from ..placement import (
 from ..rotary import RingArray
 from ..timing import (
     CriticalPathExtractor,
-    SequentialTiming,
     TimingSnapshot,
     VectorizedTiming,
     critical_net_weights,
@@ -66,6 +64,29 @@ from .skew_traditional import SkewSchedule, max_slack_schedule
 
 if TYPE_CHECKING:  # lazy at runtime: analysis imports core.cost
     from ..analysis.diagnostics import Diagnostic
+
+
+#: Allowed values of the :class:`FlowOptions` fields that select an
+#: engine or mode.  ``assignment`` and ``skew_mode`` are rejected at
+#: construction; ``net_weighting`` when a run starts, before stage 1
+#: (perfbench's failure-accounting test builds a flow that raises there).
+_OPTION_CHOICES: dict[str, tuple[str, ...]] = {
+    "assignment": ("flow", "ilp"),
+    "skew_mode": ("weighted", "minmax"),
+    "net_weighting": ("none", "critical"),
+}
+
+
+def _check_choice(opts: "FlowOptions", name: str) -> None:
+    """Raise :class:`ReproError` naming ``name`` and its value when the
+    value is not one of :data:`_OPTION_CHOICES`."""
+    value = getattr(opts, name)
+    allowed = _OPTION_CHOICES[name]
+    if value not in allowed:
+        raise ReproError(
+            f"unknown FlowOptions.{name} {value!r} (expected "
+            f"{' or '.join(repr(a) for a in allowed)})"
+        )
 
 
 @dataclass(frozen=True, slots=True, kw_only=True)
@@ -118,25 +139,6 @@ class FlowOptions:
     #: on :attr:`FlowResult.trace`.  Off by default; the disabled path
     #: runs through a shared no-op collector.
     trace: bool = False
-    #: Static timing engine.  "vectorized" caches the circuit's timing
-    #: structure once and reruns only the numpy positional pass per
-    #: iteration (results within 1e-9 ps of the scalar engine; exact on
-    #: all bundled circuits); "scalar" rebuilds
-    #: :class:`~repro.timing.SequentialTiming` from scratch each time.
-    sta_engine: Literal["vectorized", "scalar"] = "vectorized"
-    #: Per-axis movement (um) below which the vectorized engine may keep
-    #: a flip-flop's cached arrivals.  The default 0.0 re-propagates on
-    #: any bitwise change, keeping the fast path exact.
-    sta_dirty_epsilon: float = 0.0
-    #: Quadratic-placer Laplacian assembly ("prefactored" reuses base
-    #: triplets across solves; results are bit-identical to "triplets").
-    placer_assembly: Literal["prefactored", "triplets"] = "prefactored"
-    #: Quadratic-placer linear solver.  "auto" is "pcg", the in-repo
-    #: Jacobi-preconditioned CG whose reductions are fixed-order numpy
-    #: sums (never BLAS), so placements do not depend on the BLAS thread
-    #: count; "cg" is the same solver unpreconditioned; "direct" is the
-    #: sparse-LU factorization baseline.
-    placer_solver: Literal["auto", "cg", "pcg", "direct"] = "auto"
     #: Timing-driven placement coupling: "critical" extracts the top-k
     #: most-critical sequential pairs (smallest permissible-range slack)
     #: from the STA each iteration and up-weights the nets on their
@@ -166,6 +168,10 @@ class FlowOptions:
     #: excluded from request digests and checkpoint keys (see
     #: :data:`EXECUTION_ONLY_OPTION_FIELDS`).
     jobs: int | Literal["auto"] = 1
+
+    def __post_init__(self) -> None:
+        _check_choice(self, "assignment")
+        _check_choice(self, "skew_mode")
 
     def replace(self, **changes: Any) -> "FlowOptions":
         """A copy with ``changes`` applied (keyword-only, validated)."""
@@ -566,11 +572,7 @@ class IntegratedFlow:
     def _run(self, opts: FlowOptions, obs: Collector) -> FlowResult:
         t_alg = 0.0
         t_placer = 0.0
-        if opts.net_weighting not in ("none", "critical"):
-            raise ReproError(
-                f"unknown net_weighting {opts.net_weighting!r} "
-                "(expected 'none' or 'critical')"
-            )
+        _check_choice(opts, "net_weighting")
         # Resolve the intra-run worker count once per run (the env var
         # REPRO_JOBS, when set, wins over the option; see
         # repro.parallel.resolve_jobs).  Purely an execution knob —
@@ -584,14 +586,7 @@ class IntegratedFlow:
             region = region_for_circuit(
                 self.circuit, self.tech, opts.utilization
             )
-            placer = QuadraticPlacer(
-                self.circuit,
-                region,
-                PlacerOptions(
-                    assembly=opts.placer_assembly, solver=opts.placer_solver
-                ),
-                collector=obs,
-            )
+            placer = QuadraticPlacer(self.circuit, region, collector=obs)
             with obs.span("placement.quadratic"):
                 global_positions = placer.place()
             with obs.span("placement.legalize"):
@@ -610,19 +605,8 @@ class IntegratedFlow:
         # Stage 2: traditional max-slack skew optimization.
         tic = time.monotonic()
         with obs.span("stage2.max-slack-skew"):
-            sta: VectorizedTiming | None = None
-            timing: SequentialTiming | TimingSnapshot
-            if opts.sta_engine == "vectorized":
-                sta = VectorizedTiming(
-                    self.circuit,
-                    self.tech,
-                    dirty_epsilon=opts.sta_dirty_epsilon,
-                    collector=obs,
-                    jobs=jobs,
-                )
-                timing = sta.analyze(positions)
-            else:
-                timing = SequentialTiming(self.circuit, positions, self.tech)
+            sta = VectorizedTiming(self.circuit, self.tech, collector=obs, jobs=jobs)
+            timing = sta.analyze(positions)
             schedule = max_slack_schedule(
                 timing.pairs, self._ffs, opts.period, self.tech
             )
@@ -833,10 +817,7 @@ class IntegratedFlow:
 
             tic = time.monotonic()
             with obs.span("timing.rebuild", iteration=iteration):
-                if sta is not None:
-                    timing = sta.analyze(positions)
-                else:
-                    timing = SequentialTiming(self.circuit, positions, self.tech)
+                timing = sta.analyze(positions)
             t_alg += time.monotonic() - tic
 
         assert base is not None and best is not None and history
@@ -851,13 +832,7 @@ class IntegratedFlow:
             from ..clocktree.local_trees import build_local_trees
 
             with obs.span("post.local-trees"):
-                best_timing: SequentialTiming | TimingSnapshot
-                if sta is not None:
-                    best_timing = sta.analyze(best_positions)
-                else:
-                    best_timing = SequentialTiming(
-                        self.circuit, best_positions, self.tech
-                    )
+                best_timing = sta.analyze(best_positions)
                 local_tree_result = build_local_trees(
                     best_assignment,
                     array,
@@ -898,7 +873,7 @@ class IntegratedFlow:
         capacities: list[int],
         schedule: SkewSchedule,
         slack_guaranteed: float,
-        timing: "SequentialTiming | TimingSnapshot",
+        timing: TimingSnapshot,
     ) -> "tuple[Diagnostic, ...]":
         """Run the cheap invariant rules against this iteration's state."""
         # Lazy import: repro.analysis depends on core.cost.

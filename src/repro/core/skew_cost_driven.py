@@ -148,30 +148,6 @@ def _add_timing_constraints(
     lp.add_constraint_block(rows, cols, vals, "<=", rhs)
 
 
-def _add_timing_constraints_loops(
-    lp: LinearProgram,
-    pairs: Mapping[tuple[str, str], PathBounds],
-    period: float,
-    tech: Technology,
-    slack: float,
-) -> None:
-    """Reference row-by-row assembly; equivalence-tested against
-    :func:`_add_timing_constraints`."""
-    from .skew_traditional import _skew_coeffs
-
-    for (i, j), b in pairs.items():
-        lp.add_constraint(
-            _skew_coeffs(i, j, {}),
-            "<=",
-            period - b.d_max - tech.setup_time - slack,
-        )
-        lp.add_constraint(
-            _skew_coeffs(j, i, {}),
-            "<=",
-            b.d_min - tech.hold_time - slack,
-        )
-
-
 def cost_driven_schedule(
     attractions: Mapping[str, RingAttraction],
     pairs: Mapping[tuple[str, str], PathBounds],

@@ -47,15 +47,6 @@ class SkewSchedule:
         )
 
 
-def _skew_coeffs(plus: str, minus: str, extra: dict[str, float]) -> dict[str, float]:
-    """Coefficients of ``t_plus - t_minus`` plus extra terms, summing
-    collisions (so self-loop pairs cancel instead of clobbering)."""
-    coeffs = dict(extra)
-    for var, coef in ((f"t_{plus}", 1.0), (f"t_{minus}", -1.0)):
-        coeffs[var] = coeffs.get(var, 0.0) + coef
-    return {v: c for v, c in coeffs.items() if c != 0.0}
-
-
 def _pair_index_arrays(
     pairs: Mapping[tuple[str, str], PathBounds],
     flip_flops: list[str],
@@ -130,34 +121,6 @@ def _max_slack_lp(
     # Pin one reference to remove the schedule's translation freedom.
     lp.add_constraint({f"t_{flip_flops[0]}": 1.0}, "==", 0.0)
     lp.set_objective({"M": -1.0})  # maximize M
-    return lp
-
-
-def _max_slack_lp_loops(
-    pairs: Mapping[tuple[str, str], PathBounds],
-    flip_flops: list[str],
-    period: float,
-    tech: Technology,
-) -> LinearProgram:
-    """Reference row-by-row assembly; equivalence-tested against
-    :func:`_max_slack_lp` (both must lower to byte-identical arrays)."""
-    lp = LinearProgram("max_slack_skew")
-    for ff in flip_flops:
-        lp.add_var(f"t_{ff}", lb=float("-inf"))
-    lp.add_var("M", lb=float("-inf"), ub=period)
-    for (i, j), b in pairs.items():
-        lp.add_constraint(
-            _skew_coeffs(i, j, {"M": 1.0}),
-            "<=",
-            period - b.d_max - tech.setup_time,
-        )
-        lp.add_constraint(
-            _skew_coeffs(j, i, {"M": 1.0}),
-            "<=",
-            b.d_min - tech.hold_time,
-        )
-    lp.add_constraint({f"t_{flip_flops[0]}": 1.0}, "==", 0.0)
-    lp.set_objective({"M": -1.0})
     return lp
 
 

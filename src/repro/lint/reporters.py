@@ -12,8 +12,8 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from ..analysis.reporters import SARIF_SCHEMA_URI, SARIF_VERSION
-from .findings import LintReport
+from ..analysis.reporters import sarif_log
+from .findings import LintFinding, LintReport
 from .rules import registered_lint_rules
 
 TOOL_NAME = "repro-lint"
@@ -25,12 +25,6 @@ __all__ = [
     "render_text",
     "sarif_document",
 ]
-
-
-def _tool_version() -> str:
-    from .. import __version__
-
-    return str(__version__)
 
 
 def render_text(report: LintReport) -> str:
@@ -66,62 +60,22 @@ def render_json(report: LintReport) -> str:
 
 def sarif_document(report: LintReport) -> dict[str, Any]:
     """The SARIF 2.1.0 log object for one lint run."""
-    rules = registered_lint_rules()
-    rule_index = {r.code: i for i, r in enumerate(rules)}
-    descriptors: list[dict[str, Any]] = [
-        {
-            "id": r.code,
-            "name": r.name,
-            "shortDescription": {"text": r.description},
-            "defaultConfiguration": {"level": r.default_severity.sarif_level},
-        }
-        for r in rules
-    ]
-    results: list[dict[str, Any]] = []
-    for f in report.findings:
-        message = f.message if not f.hint else f"{f.message}. Hint: {f.hint}"
-        result: dict[str, Any] = {
-            "ruleId": f.code,
-            "level": f.severity.sarif_level,
-            "message": {"text": message},
-            "locations": [
-                {
-                    "physicalLocation": {
-                        "artifactLocation": {"uri": f.path},
-                        "region": {
-                            "startLine": f.line,
-                            "startColumn": f.column,
-                        },
-                    }
-                }
-            ],
-        }
-        idx = rule_index.get(f.code)
-        if idx is not None:
-            result["ruleIndex"] = idx
-        results.append(result)
-    return {
-        "$schema": SARIF_SCHEMA_URI,
-        "version": SARIF_VERSION,
-        "runs": [
-            {
-                "tool": {
-                    "driver": {
-                        "name": TOOL_NAME,
-                        "version": _tool_version(),
-                        "informationUri": (
-                            "https://github.com/paper-repro/rotary-clocking"
-                        ),
-                        "rules": descriptors,
-                    }
-                },
-                "invocations": [
-                    {"executionSuccessful": not report.has_errors}
-                ],
-                "results": results,
+
+    def location(f: LintFinding) -> dict[str, Any]:
+        return {
+            "physicalLocation": {
+                "artifactLocation": {"uri": f.path},
+                "region": {"startLine": f.line, "startColumn": f.column},
             }
-        ],
-    }
+        }
+
+    return sarif_log(
+        TOOL_NAME,
+        registered_lint_rules(),
+        report.findings,
+        location,
+        successful=not report.has_errors,
+    )
 
 
 def render_sarif(report: LintReport) -> str:

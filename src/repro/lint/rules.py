@@ -79,9 +79,9 @@ _REGISTRY: tuple[LintRule, ...] = (
         "parallel-kernel-global-mutation",
         "A function registered as a parallel chunk kernel "
         "(@chunk_kernel) mutates module-level state; kernels run "
-        "concurrently on pool threads or in forked workers, so such "
-        "writes race or silently diverge between backends.  Kernels "
-        "must write only through their declared output views.",
+        "concurrently on pool threads, so such writes race and make "
+        "results depend on scheduling.  Kernels must write only "
+        "through their declared output views.",
         Severity.ERROR,
     ),
     LintRule(

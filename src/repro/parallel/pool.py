@@ -1,18 +1,12 @@
-"""Persistent worker pools and deterministic chunk dispatch.
+"""Persistent worker pool and deterministic chunk dispatch.
 
-The pools are process-global and lazily started: the first dispatch
-that needs ``w`` workers creates (or widens) the pool, and every later
-dispatch reuses it — a flow iterating the Fig. 3 loop pays thread
-startup once, not once per stage per iteration.
-
-Two backends:
-
-* **thread** (default) — chunks run on a ``ThreadPoolExecutor``.  The
-  dispatched kernels are NumPy-dominated and release the GIL inside
-  ufunc loops, so threads scale without any data movement.
-* **process** (``REPRO_PARALLEL_BACKEND=process``) — chunks of a
-  *registered* kernel run in a ``ProcessPoolExecutor``; arrays travel
-  as shared-memory views (:mod:`repro.parallel.shm`), never pickled.
+The pool is process-global and lazily started: the first dispatch that
+needs ``w`` workers creates (or widens) it, and every later dispatch
+reuses it — a flow iterating the Fig. 3 loop pays thread startup once,
+not once per stage per iteration.  Chunks run on a
+``ThreadPoolExecutor``: the dispatched kernels are NumPy-dominated and
+release the GIL inside ufunc loops, so threads scale without any data
+movement.
 
 Determinism: chunk boundaries depend only on ``(n, chunk_width)``;
 every chunk writes disjoint output slices; completion is awaited in
@@ -22,30 +16,21 @@ deterministically regardless of scheduling.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
 import threading
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Literal, Mapping, Sequence
+from concurrent.futures import ThreadPoolExecutor
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy.typing as npt
 
 from ..obs import NULL_COLLECTOR, Collector
-from .registry import kernel_module, resolve_kernel
-from .shm import SharedArraySpec, SharedViewArena, attach_view
-
-#: Environment variable selecting the kernel-dispatch backend.
-BACKEND_ENV_VAR = "REPRO_PARALLEL_BACKEND"
+from .registry import resolve_kernel
 
 ChunkBounds = tuple[int, int]
 ChunkTask = Callable[[int, int], None]
-Backend = Literal["thread", "process"]
 
 _POOL_LOCK = threading.Lock()
 _THREAD_POOL: ThreadPoolExecutor | None = None
 _THREAD_POOL_WIDTH = 0
-_PROCESS_POOL: ProcessPoolExecutor | None = None
-_PROCESS_POOL_WIDTH = 0
 
 
 def fixed_chunks(n: int, chunk: int) -> list[ChunkBounds]:
@@ -74,43 +59,45 @@ def _thread_pool(width: int) -> ThreadPoolExecutor:
         return _THREAD_POOL
 
 
-def _process_pool(width: int) -> ProcessPoolExecutor:
-    """The shared process pool, widened (never shrunk) to ``width``."""
-    global _PROCESS_POOL, _PROCESS_POOL_WIDTH
-    with _POOL_LOCK:
-        if _PROCESS_POOL is None or _PROCESS_POOL_WIDTH < width:
-            try:
-                context = multiprocessing.get_context("fork")
-            except ValueError:  # pragma: no cover - non-POSIX platforms
-                context = multiprocessing.get_context()
-            _PROCESS_POOL = ProcessPoolExecutor(max_workers=width, mp_context=context)
-            _PROCESS_POOL_WIDTH = width
-        return _PROCESS_POOL
-
-
 def shutdown_pools() -> None:
-    """Tear down the shared pools (tests / interpreter shutdown only)."""
-    global _THREAD_POOL, _THREAD_POOL_WIDTH, _PROCESS_POOL, _PROCESS_POOL_WIDTH
+    """Tear down the shared pool (tests / interpreter shutdown only)."""
+    global _THREAD_POOL, _THREAD_POOL_WIDTH
     with _POOL_LOCK:
         thread_pool, _THREAD_POOL, _THREAD_POOL_WIDTH = _THREAD_POOL, None, 0
-        process_pool, _PROCESS_POOL, _PROCESS_POOL_WIDTH = _PROCESS_POOL, None, 0
     if thread_pool is not None:
         thread_pool.shutdown(wait=True)
-    if process_pool is not None:
-        process_pool.shutdown(wait=True)
 
 
-def _drain_in_order(pool: Executor, task: ChunkTask, bounds: Sequence[ChunkBounds]) -> None:
-    """Submit every chunk, then await results in submission order.
+def _dispatch(
+    task: ChunkTask,
+    bounds: Sequence[ChunkBounds],
+    jobs: int,
+    collector: Collector,
+    stage: str,
+) -> None:
+    """Run ``task(lo, hi)`` over every chunk; the body of both public
+    dispatchers (kept private so a wrapper around either counts each
+    dispatch once).
 
-    Awaiting in chunk order (a fold-left over the futures list) keeps
-    error propagation deterministic: the lowest-index failing chunk is
-    the one that raises, regardless of which chunk failed first on the
-    wall clock.
+    Serial when ``jobs <= 1`` or there is a single chunk.  Otherwise
+    every chunk is submitted to the pool and the results are awaited in
+    submission order (a fold-left over the futures list), so the
+    lowest-index failing chunk is the one that raises, whichever chunk
+    failed first on the wall clock.
     """
-    futures = [pool.submit(task, lo, hi) for lo, hi in bounds]
-    for future in futures:
-        future.result()
+    if jobs <= 1 or len(bounds) <= 1:
+        for lo, hi in bounds:
+            task(lo, hi)
+        return
+    workers = min(jobs, len(bounds))
+    collector.count("parallel.dispatches")
+    collector.count("parallel.chunks", len(bounds))
+    collector.gauge("parallel.workers", workers)
+    with collector.span("parallel.dispatch", stage=stage, chunks=len(bounds), workers=workers):
+        pool = _thread_pool(workers)
+        futures = [pool.submit(task, lo, hi) for lo, hi in bounds]
+        for future in futures:
+            future.result()
 
 
 def run_chunk_tasks(
@@ -127,39 +114,7 @@ def run_chunk_tasks(
     disjoint across chunks; under that contract the result is
     bit-identical to the serial loop for any ``jobs``.
     """
-    if jobs <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            task(lo, hi)
-        return
-    workers = min(jobs, len(bounds))
-    collector.count("parallel.dispatches")
-    collector.count("parallel.chunks", len(bounds))
-    collector.gauge("parallel.workers", workers)
-    with collector.span(
-        "parallel.dispatch", stage=stage, backend="thread", chunks=len(bounds), workers=workers
-    ):
-        _drain_in_order(_thread_pool(workers), task, bounds)
-
-
-def _backend(override: Backend | None) -> Backend:
-    if override is not None:
-        return override
-    raw = os.environ.get(BACKEND_ENV_VAR, "").strip().lower()
-    if not raw or raw == "thread":
-        return "thread"
-    if raw == "process":
-        return "process"
-    raise ValueError(
-        f"invalid {BACKEND_ENV_VAR} value {raw!r}: expected 'thread' or 'process'"
-    )
-
-
-def _run_kernel_shared(
-    name: str, module: str, specs: tuple[SharedArraySpec, ...], lo: int, hi: int
-) -> None:
-    """Process-pool worker body: attach views, run one kernel chunk."""
-    views = {spec.name: attach_view(spec) for spec in specs}
-    resolve_kernel(name, module)(views, lo, hi)
+    _dispatch(task, bounds, jobs, collector, stage)
 
 
 def run_kernel_chunks(
@@ -167,53 +122,18 @@ def run_kernel_chunks(
     views: Mapping[str, npt.NDArray[Any]],
     bounds: Sequence[ChunkBounds],
     *,
-    writes: Sequence[str],
     jobs: int = 1,
     collector: Collector = NULL_COLLECTOR,
     stage: str | None = None,
-    backend: Backend | None = None,
 ) -> None:
     """Dispatch the registered kernel ``name`` over fixed chunks of ``views``.
 
-    ``writes`` names the output views — the arrays whose ``[lo:hi)``
-    slices the kernel fills.  On the thread backend the kernel mutates
-    the caller's arrays directly; on the process backend inputs and
-    outputs round-trip through shared memory and only the ``writes``
-    views are copied back, after every chunk has completed.
+    The kernel mutates the caller's output arrays in place, each chunk
+    writing only its ``[lo:hi)`` slices.
     """
     kernel = resolve_kernel(name)
-    if jobs <= 1 or len(bounds) <= 1:
-        for lo, hi in bounds:
-            kernel(views, lo, hi)
-        return
 
-    chosen = _backend(backend)
-    workers = min(jobs, len(bounds))
-    collector.count("parallel.dispatches")
-    collector.count("parallel.chunks", len(bounds))
-    collector.gauge("parallel.workers", workers)
-    with collector.span(
-        "parallel.dispatch",
-        stage=stage if stage is not None else name,
-        backend=chosen,
-        chunks=len(bounds),
-        workers=workers,
-    ):
-        if chosen == "thread":
+    def task(lo: int, hi: int) -> None:
+        kernel(views, lo, hi)
 
-            def task(lo: int, hi: int) -> None:
-                kernel(views, lo, hi)
-
-            _drain_in_order(_thread_pool(workers), task, bounds)
-            return
-        module = kernel_module(name)
-        with SharedViewArena(views) as arena:
-            specs = arena.specs()
-            pool = _process_pool(workers)
-            futures = [
-                pool.submit(_run_kernel_shared, name, module, specs, lo, hi)
-                for lo, hi in bounds
-            ]
-            for future in futures:
-                future.result()
-            arena.copy_back(views, tuple(writes))
+    _dispatch(task, bounds, jobs, collector, stage if stage is not None else name)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,8 +35,10 @@ from ..obs import NULL_COLLECTOR, Collector
 from .pseudonet import PseudoNet
 from .region import PlacementRegion, pad_positions
 
-#: Anchor triple in array form: (cell indices, targets, weights).
-AnchorArrays = tuple[np.ndarray, np.ndarray, np.ndarray]
+#: Anchors in array form: (cell indices, x targets, y targets, weights).
+#: Both axes always carry the same cells and weights in the same order;
+#: only the targets differ.
+AnchorArrays = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 #: Nets up to this degree use the clique spring model; bigger nets use a star.
 _CLIQUE_MAX_DEGREE = 5
@@ -148,22 +150,6 @@ class PlacerOptions:
     spreading_weight: float = 0.05
     #: Hard cap on bisection levels.
     max_levels: int = 12
-    #: Laplacian assembly: "prefactored" builds the spring/star/eps base
-    #: triplets once per placer and only concatenates per-solve anchors;
-    #: "triplets" is the original per-solve Python rebuild.  Both feed
-    #: scipy the identical COO stream, so results are bit-identical.
-    assembly: Literal["prefactored", "triplets"] = "prefactored"
-    #: Linear solver for the SPD axis systems:
-    #:
-    #: * ``"pcg"`` — Jacobi-preconditioned CG (:func:`_pcg`), about half
-    #:   the iterations of plain CG at the same tolerance;
-    #: * ``"cg"`` — the same solver with the identity preconditioner;
-    #: * ``"direct"`` — sparse LU factorization per solve;
-    #: * ``"dense"`` — dense LU per solve (materializes the full matrix;
-    #:   the dense-factorization baseline of ``benchmarks/bench_scale.py``
-    #:   — O(n^2) memory, never auto-selected);
-    #: * ``"auto"`` — ``"pcg"``.
-    solver: Literal["auto", "cg", "pcg", "direct", "dense"] = "auto"
 
 
 class QuadraticPlacer:
@@ -189,16 +175,8 @@ class QuadraticPlacer:
         self._fixed = pad_positions(circuit, region)
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
-        if self.options.solver == "auto":
-            self._solver_mode = "pcg"
-        elif self.options.solver in ("cg", "pcg", "direct", "dense"):
-            self._solver_mode = self.options.solver
-        else:
-            raise PlacementError(f"unknown placer solver {self.options.solver!r}")
-        self._base: tuple[np.ndarray, ...] | None = None
-        if self.options.assembly == "prefactored":
-            self._base = self._prefactor()
-            self.collector.count("placement.assembly.builds")
+        self._base = self._prefactor()
+        self.collector.count("placement.assembly.builds")
 
     # ------------------------------------------------------------------
     def _checked_net_weights(
@@ -222,17 +200,16 @@ class QuadraticPlacer:
         """Replace the per-net weights and rebuild the spring structure.
 
         The timing-driven flow calls this between iterations with the
-        critical-pair weights; cells, region, solver mode, and the warm
-        CG machinery are all retained, only the spring list (and, in
-        prefactored assembly mode, the cached base triplets) is rebuilt.
+        critical-pair weights; cells, region and the warm CG machinery
+        are all retained, only the spring list and the cached base
+        triplets are rebuilt.
         An absent / all-ones mapping restores the unweighted placer
         bit-for-bit.
         """
         self._net_weights = self._checked_net_weights(net_weights)
         self._springs = self._build_springs()
-        if self.options.assembly == "prefactored":
-            self._base = self._prefactor()
-            self.collector.count("placement.assembly.builds")
+        self._base = self._prefactor()
+        self.collector.count("placement.assembly.builds")
         self.collector.count("placement.net-weights.rebuilds")
 
     @property
@@ -283,12 +260,12 @@ class QuadraticPlacer:
     def _prefactor(self) -> tuple[np.ndarray, ...]:
         """Assemble the position-independent base system once.
 
-        Emits the exact triplet stream the per-solve ``add()`` loop in
-        :meth:`_solve_axis_triplets` would produce for springs, star
-        nets and eps anchors (weights are axis-independent; only the
-        rhs differs per axis).  Because scipy's duplicate summation is
-        deterministic for a given COO stream, feeding the identical
-        stream keeps solutions bit-identical to the triplets path.
+        Emits the COO triplets of springs, star nets and eps anchors, in
+        that order (weights are axis-independent; only the rhs differs
+        per axis).  :meth:`_solve` appends the per-call anchor diagonal
+        after them.  scipy's duplicate summation is deterministic for a
+        given COO stream, so a per-solve rebuild of the same stream
+        gives bit-identical solutions.
         """
         n = len(self._movable)
         n_aux = len(self._star_nets)
@@ -341,39 +318,17 @@ class QuadraticPlacer:
             rhs_y,
         )
 
-    def _jacobi(self, A: sp.csr_matrix) -> np.ndarray | None:
-        """``1/diag(A)`` in ``"pcg"`` mode, else None.
-
-        The diagonal of a spring Laplacian plus the eps anchors is
-        strictly positive, so the Jacobi preconditioner is well defined.
-        """
-        return 1.0 / A.diagonal() if self._solver_mode == "pcg" else None
-
     def _linear_solve(
         self,
         A: sp.csr_matrix,
         rhs: np.ndarray,
         x0: np.ndarray | None,
-        inv_diag: np.ndarray | None,
+        inv_diag: np.ndarray,
         axis: str,
     ) -> np.ndarray:
-        """Solve one SPD axis system with the configured solver mode.
-
-        ``"pcg"`` and ``"cg"`` both run :func:`_pcg` (with and without
-        ``inv_diag``) and fall back, counted, to ``spsolve`` when it does
-        not converge; ``"direct"`` factors the system per solve (sparse
-        LU) and ``"dense"`` densifies it (LAPACK LU).
-        """
-        mode = self._solver_mode
-        if mode == "dense":
-            import scipy.linalg as sla
-
-            self.collector.count("placement.solver.dense")
-            return np.asarray(sla.lu_solve(sla.lu_factor(A.toarray()), rhs))
-        if mode == "direct":
-            self.collector.count("placement.solver.direct")
-            return np.asarray(spla.splu(A.tocsc()).solve(rhs))
-        self.collector.count(f"placement.solver.{mode}")
+        """Solve one SPD axis system by Jacobi PCG (:func:`_pcg`),
+        falling back, counted, to ``spsolve`` when it does not converge."""
+        self.collector.count("placement.solver.pcg")
         sol, iterations, converged = _pcg(
             A, rhs, x0, _CG_RTOL, _CG_MAXITER, inv_diag, axis=axis
         )
@@ -383,39 +338,23 @@ class QuadraticPlacer:
             sol = spla.spsolve(A.tocsc(), rhs)
         return np.asarray(sol)
 
-    @staticmethod
-    def _anchor_arrays(
-        anchors: "Sequence[tuple[int, float, float]] | AnchorArrays",
-    ) -> AnchorArrays:
-        if isinstance(anchors, tuple):
-            return anchors
-        if not anchors:
-            empty = np.zeros(0)
-            return np.zeros(0, dtype=np.int64), empty, empty
-        arr = np.asarray(anchors, dtype=np.float64)
-        return arr[:, 0].astype(np.int64), arr[:, 1], arr[:, 2]
-
-    def _solve_prefactored(
+    def _solve(
         self,
-        anchors_x: AnchorArrays,
-        anchors_y: AnchorArrays,
+        anchors: AnchorArrays,
         warm_x: np.ndarray | None,
         warm_y: np.ndarray | None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Prefactored twin of :meth:`_solve_axis_triplets`, both axes at
-        once: base triplets are reused, only the anchor diagonal entries
-        are appended, and x and y are solved on one CSR matrix (and one
-        Jacobi preconditioner).
+        """Solve both axes on one matrix: the cached base triplets plus
+        the anchor diagonal entries, with one Jacobi preconditioner.
 
         Sharing is exact: both axes carry the same anchor cells and
         weights in the same order (base anchors, then each spreading
-        region's cells); only the targets, hence the rhs, differ.
+        region's cells); only the targets, hence the rhs, differ.  The
+        diagonal of a spring Laplacian plus the eps anchors is strictly
+        positive, so ``1/diag(A)`` is well defined.
         """
-        assert self._base is not None
         base_rows, base_cols, base_vals, base_rhs_x, base_rhs_y = self._base
-        a_idx, a_tx, a_w = anchors_x
-        a_idx_y, a_ty, a_w_y = anchors_y
-        assert np.array_equal(a_idx, a_idx_y) and np.array_equal(a_w, a_w_y)
+        a_idx, a_tx, a_ty, a_w = anchors
         n = len(self._movable)
         n_aux = len(self._star_nets)
         size = n + n_aux
@@ -423,7 +362,7 @@ class QuadraticPlacer:
         cols = np.concatenate([base_cols, a_idx])
         vals = np.concatenate([base_vals, a_w])
         A = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        inv_diag = self._jacobi(A)
+        inv_diag = 1.0 / A.diagonal()
         center = self.region.bbox.center
         solutions = []
         for axis, base_rhs, a_tgt, warm, c in (
@@ -432,7 +371,7 @@ class QuadraticPlacer:
         ):
             rhs = base_rhs.copy()
             # ufunc.at accumulates sequentially in index order, matching
-            # the scalar path's per-anchor ``rhs[i] += w * target`` fold.
+            # a per-anchor ``rhs[i] += w * target`` fold.
             np.add.at(rhs, a_idx, a_w * a_tgt)
             self.collector.count("placement.assembly.reuses")
             x0 = None
@@ -440,82 +379,6 @@ class QuadraticPlacer:
                 x0 = np.concatenate([warm, np.full(n_aux, c)])
             solutions.append(self._linear_solve(A, rhs, x0, inv_diag, axis)[:n])
         return solutions[0], solutions[1]
-
-    def _solve_axis_triplets(
-        self,
-        axis: int,
-        anchors: Sequence[tuple[int, float, float]],
-        warm: np.ndarray | None,
-    ) -> np.ndarray:
-        """Solve one coordinate axis.  ``anchors`` = (cell, target, weight)."""
-        n = len(self._movable)
-        n_aux = len(self._star_nets)
-        size = n + n_aux
-        rows: list[int] = []
-        cols: list[int] = []
-        vals: list[float] = []
-        rhs = np.zeros(size)
-
-        def add(i: int, j: int | None, w: float, fixed_val: float = 0.0) -> None:
-            rows.append(i)
-            cols.append(i)
-            vals.append(w)
-            if j is None:
-                rhs[i] += w * fixed_val
-            else:
-                rows.append(j)
-                cols.append(j)
-                vals.append(w)
-                rows.append(i)
-                cols.append(j)
-                vals.append(-w)
-                rows.append(j)
-                cols.append(i)
-                vals.append(-w)
-
-        for i, j, w, p in self._springs:
-            if p is None:
-                add(i, j, w)
-            else:
-                add(i, None, w, (p.x, p.y)[axis])
-        for k, (movable_idx, fixed_pts, w) in enumerate(self._star_nets):
-            aux = n + k
-            for i in movable_idx:
-                add(i, aux, w)
-            for p in fixed_pts:
-                add(aux, None, w, (p.x, p.y)[axis])
-        center = (self.region.bbox.center.x, self.region.bbox.center.y)[axis]
-        for i in range(size):
-            add(i, None, _EPS_ANCHOR, center)
-        for i, target, w in anchors:
-            add(i, None, w, target)
-
-        A = sp.csr_matrix((vals, (rows, cols)), shape=(size, size))
-        x0 = None
-        if warm is not None:
-            x0 = np.concatenate([warm, np.full(n_aux, center)])
-        sol = self._linear_solve(A, rhs, x0, self._jacobi(A), "xy"[axis])
-        return sol[:n]
-
-    def _solve(
-        self,
-        anchors_x: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        anchors_y: "Sequence[tuple[int, float, float]] | AnchorArrays",
-        warm_x: np.ndarray | None = None,
-        warm_y: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if self._base is not None:
-            return self._solve_prefactored(
-                self._anchor_arrays(anchors_x),
-                self._anchor_arrays(anchors_y),
-                warm_x,
-                warm_y,
-            )
-        # Array-form anchors are built only in prefactored mode.
-        assert isinstance(anchors_x, list) and isinstance(anchors_y, list)
-        x = self._solve_axis_triplets(0, anchors_x, warm_x)
-        y = self._solve_axis_triplets(1, anchors_y, warm_y)
-        return x, y
 
     # ------------------------------------------------------------------
     def place(
@@ -531,8 +394,10 @@ class QuadraticPlacer:
         ``stability_weight > 0`` turn the solve into a *stable
         incremental* placement, as required by stage 6 of the flow.
         """
-        base_x: list[tuple[int, float, float]] = []
-        base_y: list[tuple[int, float, float]] = []
+        idx_list: list[int] = []
+        tx_list: list[float] = []
+        ty_list: list[float] = []
+        w_list: list[float] = []
         for pn in pseudo_nets:
             idx = self._index.get(pn.cell)
             if idx is None:
@@ -541,8 +406,10 @@ class QuadraticPlacer:
                 pn.weight, f"weight of pseudo net to cell {pn.cell!r}"
             )
             _check_finite_anchor(pn.anchor, f"pseudo net to cell {pn.cell!r}")
-            base_x.append((idx, pn.anchor.x, w))
-            base_y.append((idx, pn.anchor.y, w))
+            idx_list.append(idx)
+            tx_list.append(pn.anchor.x)
+            ty_list.append(pn.anchor.y)
+            w_list.append(w)
         if stability_weight:
             stability_weight = _checked_weight(
                 stability_weight, "stability anchor weight"
@@ -556,13 +423,21 @@ class QuadraticPlacer:
                 if idx is None:
                     continue
                 _check_finite_anchor(p, f"stability anchor of cell {name!r}")
-                base_x.append((idx, p.x, stability_weight))
-                base_y.append((idx, p.y, stability_weight))
+                idx_list.append(idx)
+                tx_list.append(p.x)
+                ty_list.append(p.y)
+                w_list.append(stability_weight)
                 warm_x[idx] = p.x
                 warm_y[idx] = p.y
 
-        x, y = self._solve(base_x, base_y, warm_x, warm_y)
-        x, y = self._spread(x, y, base_x, base_y)
+        base: AnchorArrays = (
+            np.asarray(idx_list, dtype=np.int64),
+            np.asarray(tx_list, dtype=np.float64),
+            np.asarray(ty_list, dtype=np.float64),
+            np.asarray(w_list, dtype=np.float64),
+        )
+        x, y = self._solve(base, warm_x, warm_y)
+        x, y = self._spread(x, y, base)
         clamped = {
             name: self.region.bbox.clamp(Point(float(x[i]), float(y[i])))
             for name, i in self._index.items()
@@ -571,11 +446,7 @@ class QuadraticPlacer:
 
     # ------------------------------------------------------------------
     def _spread(
-        self,
-        x: np.ndarray,
-        y: np.ndarray,
-        base_x: Sequence[tuple[int, float, float]],
-        base_y: Sequence[tuple[int, float, float]],
+        self, x: np.ndarray, y: np.ndarray, base: AnchorArrays
     ) -> tuple[np.ndarray, np.ndarray]:
         """Recursive-bisection spreading with per-level anchor re-solves."""
         n = len(self._movable)
@@ -585,10 +456,7 @@ class QuadraticPlacer:
         ]
         level = 0
         weight = opts.spreading_weight
-        base_ax = base_ay = None
-        if self._base is not None:
-            base_ax = self._anchor_arrays(base_x)
-            base_ay = self._anchor_arrays(base_y)
+        base_idx, base_tx, base_ty, base_w = base
         while level < opts.max_levels:
             next_regions: list[tuple[BBox, np.ndarray, bool]] = []
             split_any = False
@@ -615,37 +483,21 @@ class QuadraticPlacer:
             regions = next_regions
             if not split_any:
                 break
-            if base_ax is not None and base_ay is not None:
-                # Array form of the identical anchor sequence: base
-                # anchors first, then each region's cells in order.
-                reg_idx = np.concatenate([idx for _, idx, _ in regions])
-                cxs = np.concatenate(
-                    [np.full(idx.size, bbox.center.x) for bbox, idx, _ in regions]
-                )
-                cys = np.concatenate(
-                    [np.full(idx.size, bbox.center.y) for bbox, idx, _ in regions]
-                )
-                ws = np.full(reg_idx.size, weight)
-                anchors_x: "Sequence[tuple[int, float, float]] | AnchorArrays" = (
-                    np.concatenate([base_ax[0], reg_idx]),
-                    np.concatenate([base_ax[1], cxs]),
-                    np.concatenate([base_ax[2], ws]),
-                )
-                anchors_y: "Sequence[tuple[int, float, float]] | AnchorArrays" = (
-                    np.concatenate([base_ay[0], reg_idx]),
-                    np.concatenate([base_ay[1], cys]),
-                    np.concatenate([base_ay[2], ws]),
-                )
-            else:
-                lx = list(base_x)
-                ly = list(base_y)
-                for bbox, idx, _ in regions:
-                    cx, cy = bbox.center.x, bbox.center.y
-                    for i in idx:
-                        lx.append((int(i), cx, weight))
-                        ly.append((int(i), cy, weight))
-                anchors_x, anchors_y = lx, ly
-            x, y = self._solve(anchors_x, anchors_y, x, y)
+            # Base anchors first, then each region's cells in order.
+            reg_idx = np.concatenate([idx for _, idx, _ in regions])
+            cxs = np.concatenate(
+                [np.full(idx.size, bbox.center.x) for bbox, idx, _ in regions]
+            )
+            cys = np.concatenate(
+                [np.full(idx.size, bbox.center.y) for bbox, idx, _ in regions]
+            )
+            anchors: AnchorArrays = (
+                np.concatenate([base_idx, reg_idx]),
+                np.concatenate([base_tx, cxs]),
+                np.concatenate([base_ty, cys]),
+                np.concatenate([base_w, np.full(reg_idx.size, weight)]),
+            )
+            x, y = self._solve(anchors, x, y)
             weight *= 2.0
             level += 1
         return x, y

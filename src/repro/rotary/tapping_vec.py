@@ -392,8 +392,7 @@ def batch_solve(
 class _TechRC:
     """The two :class:`Technology` fields the pair kernel reads.
 
-    Chunk kernels receive every input as an ndarray view (so the
-    process backend can ship them through shared memory); the unit RC
+    Chunk kernels receive every input as an ndarray view; the unit RC
     constants round-trip through a two-element float array and are
     rebuilt here — ``float`` conversion is exact, so results stay
     bit-identical to passing the :class:`Technology` itself.
@@ -401,19 +400,6 @@ class _TechRC:
 
     unit_resistance: float
     unit_capacitance: float
-
-
-#: View names written by :func:`_solve_pairs_chunk` (disjoint slices).
-_PAIR_KERNEL_WRITES = (
-    "wirelength",
-    "segment_index",
-    "x",
-    "periods_borrowed",
-    "snaked",
-    "target_norm",
-    "point_x",
-    "point_y",
-)
 
 
 @chunk_kernel("tapping.solve-pairs")
@@ -539,7 +525,6 @@ def batch_solve_rings(
             "tapping.solve-pairs",
             views,
             fixed_chunks(n, chunk),
-            writes=_PAIR_KERNEL_WRITES,
             jobs=jobs,
             collector=collector,
             stage="tapping.pairs",

@@ -8,6 +8,8 @@ fail.
 
 import pytest
 
+import repro.core.flow
+from oracles import ScalarTiming, TripletsPlacer
 from repro import FlowOptions, IntegratedFlow
 from repro.netlist import PROFILES, generate_named
 
@@ -71,30 +73,20 @@ class TestDeterminism:
 
 class TestEngineEquivalence:
     """The vectorized STA engine and prefactored placer assembly are
-    drop-in replacements: the full flow must make *identical* decisions
-    (iteration count, tapping cost, schedule, positions) either way."""
+    drop-in replacements for their reference twins (``tests/oracles.py``):
+    the full flow must make *identical* decisions (iteration count,
+    tapping cost, schedule, positions) either way."""
 
-    def test_vectorized_matches_scalar_flow(self):
-        circuit = generate_named("s9234")
+    def test_vectorized_matches_scalar_flow(self, monkeypatch):
         side = PROFILES["s9234"].ring_grid_side
-        fast = IntegratedFlow(
-            circuit,
-            options=FlowOptions(
-                ring_grid_side=side,
-                sta_engine="vectorized",
-                placer_assembly="prefactored",
-            ),
-        ).run()
-        slow = IntegratedFlow(
-            generate_named("s9234"),
-            options=FlowOptions(
-                ring_grid_side=side,
-                sta_engine="scalar",
-                placer_assembly="triplets",
-            ),
-        ).run()
+        options = FlowOptions(ring_grid_side=side)
+        fast = IntegratedFlow(generate_named("s9234"), options=options).run()
+        monkeypatch.setattr(repro.core.flow, "VectorizedTiming", ScalarTiming)
+        monkeypatch.setattr(repro.core.flow, "QuadraticPlacer", TripletsPlacer)
+        slow = IntegratedFlow(generate_named("s9234"), options=options).run()
         assert len(fast.history) == len(slow.history)
         assert fast.final.tapping_wirelength == slow.final.tapping_wirelength
         assert fast.final.signal_wirelength == slow.final.signal_wirelength
         assert fast.schedule.targets == slow.schedule.targets
         assert fast.positions == slow.positions
+        assert fast.decision_digest() == slow.decision_digest()

@@ -1,8 +1,8 @@
 """Byte-identity of the block-assembled skew LPs vs row-by-row assembly.
 
 The scale path assembles the §IV max-slack LP and the cost-driven timing
-rows as single COO blocks; the ``*_loops`` twins keep the original
-per-pair construction.  Both must lower to byte-identical arrays —
+rows as single COO blocks; the ``*_loops`` oracles below keep the
+original per-pair construction.  Both must lower to byte-identical arrays —
 same CSR structure, same rhs, same objective — on arbitrary pair sets,
 including self-loop pairs (whose t terms cancel to a vacuous row) and
 duplicate endpoints.  Byte-identity is what guarantees the §V flow's
@@ -17,13 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.constants import DEFAULT_TECHNOLOGY
-from repro.core.skew_cost_driven import (
-    _add_timing_constraints,
-    _add_timing_constraints_loops,
-)
+from repro.core.skew_cost_driven import _add_timing_constraints
 from repro.core.skew_traditional import (
     _max_slack_lp,
-    _max_slack_lp_loops,
     _pair_index_arrays,
     max_slack_schedule,
 )
@@ -33,6 +29,52 @@ from repro.timing import PathBounds
 
 TECH = DEFAULT_TECHNOLOGY
 PERIOD = 1000.0
+
+
+def _skew_coeffs(plus: str, minus: str, extra: dict[str, float]) -> dict[str, float]:
+    """Coefficients of ``t_plus - t_minus`` plus extra terms, summing
+    collisions (so self-loop pairs cancel instead of clobbering)."""
+    coeffs = dict(extra)
+    for var, coef in ((f"t_{plus}", 1.0), (f"t_{minus}", -1.0)):
+        coeffs[var] = coeffs.get(var, 0.0) + coef
+    return {v: c for v, c in coeffs.items() if c != 0.0}
+
+
+def _max_slack_lp_loops(pairs, flip_flops, period, tech) -> LinearProgram:
+    """Row-by-row oracle of :func:`_max_slack_lp`."""
+    lp = LinearProgram("max_slack_skew")
+    for ff in flip_flops:
+        lp.add_var(f"t_{ff}", lb=float("-inf"))
+    lp.add_var("M", lb=float("-inf"), ub=period)
+    for (i, j), b in pairs.items():
+        lp.add_constraint(
+            _skew_coeffs(i, j, {"M": 1.0}),
+            "<=",
+            period - b.d_max - tech.setup_time,
+        )
+        lp.add_constraint(
+            _skew_coeffs(j, i, {"M": 1.0}),
+            "<=",
+            b.d_min - tech.hold_time,
+        )
+    lp.add_constraint({f"t_{flip_flops[0]}": 1.0}, "==", 0.0)
+    lp.set_objective({"M": -1.0})
+    return lp
+
+
+def _add_timing_constraints_loops(lp, pairs, period, tech, slack) -> None:
+    """Row-by-row oracle of :func:`_add_timing_constraints`."""
+    for (i, j), b in pairs.items():
+        lp.add_constraint(
+            _skew_coeffs(i, j, {}),
+            "<=",
+            period - b.d_max - tech.setup_time - slack,
+        )
+        lp.add_constraint(
+            _skew_coeffs(j, i, {}),
+            "<=",
+            b.d_min - tech.hold_time - slack,
+        )
 
 
 def _csr_tuple(m):

@@ -4,7 +4,18 @@ import numpy as np
 import pytest
 
 from repro.obs import TraceCollector
-from repro.parallel import fixed_chunks, run_chunk_tasks, shutdown_pools
+from repro.parallel import (
+    chunk_kernel,
+    fixed_chunks,
+    run_chunk_tasks,
+    run_kernel_chunks,
+    shutdown_pools,
+)
+
+
+@chunk_kernel("tests.pool.affine")
+def _affine(views, lo, hi):
+    views["out"][lo:hi] = views["x"][lo:hi] * views["scale"][()] + 1.0
 
 
 class TestFixedChunks:
@@ -80,3 +91,39 @@ class TestRunChunkTasks:
         # Dispatch works again after a shutdown (pool is lazily rebuilt).
         out = self._run(2)
         assert out.shape == (10_000,)
+
+
+class TestRunKernelChunks:
+    def _run(self, jobs: int, collector=None) -> np.ndarray:
+        x = np.random.default_rng(11).normal(size=5_000)
+        out = np.zeros_like(x)
+        kwargs = {} if collector is None else {"collector": collector}
+        run_kernel_chunks(
+            "tests.pool.affine",
+            {"x": x, "scale": np.asarray(2.5), "out": out},
+            fixed_chunks(x.size, 333),
+            jobs=jobs,
+            **kwargs,
+        )
+        return out
+
+    def test_threaded_matches_serial(self):
+        serial = self._run(1)
+        assert np.array_equal(
+            serial, np.random.default_rng(11).normal(size=5_000) * 2.5 + 1.0
+        )
+        for jobs in (2, 3):
+            assert np.array_equal(serial, self._run(jobs))
+
+    def test_one_dispatch_counted_per_call(self):
+        collector = TraceCollector()
+        self._run(2, collector)
+        trace = collector.trace()
+        assert trace.counters["parallel.dispatches"] == 1
+        assert trace.counters["parallel.chunks"] == 16
+        span = next(s for s in trace.spans if s.name == "parallel.dispatch")
+        assert span.attrs is not None and span.attrs["stage"] == "tests.pool.affine"
+
+    def test_unknown_kernel_raises_before_dispatch(self):
+        with pytest.raises(KeyError, match="no-such-kernel"):
+            run_kernel_chunks("no-such-kernel", {}, fixed_chunks(4, 2), jobs=2)

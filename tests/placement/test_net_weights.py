@@ -4,7 +4,8 @@ The timing-driven flow up-weights critical nets, but the default path —
 no weights, or any mapping whose values are all exactly 1.0 — must emit
 the same COO triplet stream as before the feature existed, so the
 placements compare with exact ``Point`` equality (no tolerance), under
-both assembly modes and with pseudo-nets/stability anchors in play.
+both the production assembly and the per-solve triplets oracle, and with
+pseudo-nets/stability anchors in play.
 Invalid weights (NaN, inf, negative, unknown net) must be rejected up
 front with a :class:`PlacementError` naming the offender, never
 silently folded into the Laplacian.
@@ -21,18 +22,16 @@ from repro.constants import DEFAULT_TECHNOLOGY
 from repro.errors import PlacementError
 from repro.geometry import Point
 from repro.netlist import generate_circuit, small_profile
-from repro.placement import (
-    PlacerOptions,
-    PseudoNet,
-    QuadraticPlacer,
-    region_for_circuit,
-)
+from oracles import TripletsPlacer
+from repro.placement import PseudoNet, QuadraticPlacer, region_for_circuit
 
 TECH = DEFAULT_TECHNOLOGY
 
 CIRCUIT = generate_circuit(small_profile(num_cells=160, num_flipflops=20, seed=3))
 REGION = region_for_circuit(CIRCUIT, TECH)
 NET_NAMES = sorted(CIRCUIT.nets)
+#: Production placer and its per-solve triplets-assembly oracle.
+PLACERS = {"prefactored": QuadraticPlacer, "triplets": TripletsPlacer}
 
 
 def assert_identical(a: dict, b: dict) -> None:
@@ -42,12 +41,7 @@ def assert_identical(a: dict, b: dict) -> None:
 
 
 def make_placer(assembly: str, net_weights=None) -> QuadraticPlacer:
-    return QuadraticPlacer(
-        CIRCUIT,
-        REGION,
-        PlacerOptions(assembly=assembly),
-        net_weights=net_weights,
-    )
+    return PLACERS[assembly](CIRCUIT, REGION, net_weights=net_weights)
 
 
 def anchor_kwargs(seed: int) -> dict:

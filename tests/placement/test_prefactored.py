@@ -1,11 +1,11 @@
 """Bit-identity of the prefactored Laplacian assembly vs triplet rebuilds.
 
-The prefactored path caches the spring/star/epsilon base triplets at
-construction and splices per-call anchors on top; because the final COO
-triplet stream is element-for-element identical to what the per-call
-("triplets") assembly produces, scipy's duplicate folding and the CG
-solve see bit-identical inputs and the placements must match *exactly*
-(``Point`` equality, not approx).
+The placer caches the spring/star/epsilon base triplets at construction
+and splices per-call anchors on top; because the final COO triplet
+stream is element-for-element identical to what the per-call rebuild of
+the :class:`oracles.TripletsPlacer` produces, scipy's duplicate folding
+and the CG solve see bit-identical inputs and the placements must match
+*exactly* (``Point`` equality, not approx).
 
 The issue text names s27/s344 as exercise circuits; the repo bundles
 only the Table II profiles (s9234..s35932), so these tests use the
@@ -17,9 +17,9 @@ import random
 from repro.constants import DEFAULT_TECHNOLOGY
 from repro.geometry import Point
 from repro.netlist import generate_circuit, small_profile
+from oracles import TripletsPlacer
 from repro.placement import (
     IncrementalOptions,
-    PlacerOptions,
     PseudoNet,
     QuadraticPlacer,
     incremental_place,
@@ -31,8 +31,8 @@ TECH = DEFAULT_TECHNOLOGY
 
 def make_placers(circuit):
     region = region_for_circuit(circuit, TECH)
-    pre = QuadraticPlacer(circuit, region, PlacerOptions(assembly="prefactored"))
-    tri = QuadraticPlacer(circuit, region, PlacerOptions(assembly="triplets"))
+    pre = QuadraticPlacer(circuit, region)
+    tri = TripletsPlacer(circuit, region)
     return region, pre, tri
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 import repro
+import repro.core.flow
 from repro import FlowOptions, ReproError, check_design, run_flow
 from repro.analysis import CheckConfig, CheckReport, Severity
-from repro.api import flow_options, resolve_circuit
+from repro.api import FlowRequest, flow_options, resolve_circuit
 from repro.errors import CheckError
 from repro.netlist import PROFILES, S27_BENCH, parse_bench_text
 from repro.obs import TraceCollector
@@ -113,6 +114,61 @@ class TestFlowOptionsRoundTrip:
     def test_keyword_only(self):
         with pytest.raises(TypeError):
             FlowOptions(3)  # positional construction is not part of the API
+
+
+#: One bad value per engine/mode field checked at construction; each
+#: differs from a valid value only in case or spelling, so a silent
+#: fallback would have hidden it.
+BAD_OPTION_VALUES = [
+    ("assignment", "Flow"),
+    ("skew_mode", "min-max"),
+]
+
+
+class TestFlowOptionsValidation:
+    """Unknown engine/mode values raise at construction, naming the
+    field and the value, on every path that builds options."""
+
+    @pytest.mark.parametrize("field,value", BAD_OPTION_VALUES)
+    def test_direct_construction(self, field, value):
+        with pytest.raises(ReproError, match=rf"{field} '{value}'"):
+            FlowOptions(**{field: value})
+
+    @pytest.mark.parametrize("field,value", BAD_OPTION_VALUES)
+    def test_from_dict(self, field, value):
+        with pytest.raises(ReproError, match=rf"{field} '{value}'"):
+            FlowOptions.from_dict({field: value})
+
+    @pytest.mark.parametrize("field,value", BAD_OPTION_VALUES)
+    def test_flow_request_document(self, field, value):
+        doc = FlowRequest(circuit="s27").to_dict()
+        doc["options"][field] = value
+        with pytest.raises(ReproError, match=rf"{field} '{value}'"):
+            FlowRequest.from_dict(doc)
+
+    def test_bad_net_weighting_raises_before_stage1(self, s27, monkeypatch):
+        """``net_weighting`` is checked when the run starts, before the
+        initial placement is built."""
+        opts = FlowOptions(net_weighting="crit")
+
+        def never_placed(*args, **kwargs):
+            raise AssertionError("stage 1 ran with a bad net_weighting")
+
+        monkeypatch.setattr(repro.core.flow, "QuadraticPlacer", never_placed)
+        with pytest.raises(ReproError, match="net_weighting 'crit'"):
+            run_flow(s27, options=opts)
+
+    @pytest.mark.parametrize(
+        "field", ["sta_engine", "sta_dirty_epsilon", "placer_assembly", "placer_solver"]
+    )
+    def test_removed_engine_fields_rejected(self, field):
+        """The reference-engine selectors are gone from FlowOptions; an
+        old document naming one fails loudly instead of being ignored."""
+        data = FlowOptions().to_dict()
+        assert field not in data
+        data[field] = "scalar"
+        with pytest.raises(ReproError, match=field):
+            FlowOptions.from_dict(data)
 
 
 class TestCheckConfigRoundTrip:

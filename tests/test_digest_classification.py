@@ -39,9 +39,6 @@ CIRCUIT = "s1423"
 LITERAL_ALTERNATIVES: dict[str, Any] = {
     "assignment": "ilp",
     "skew_mode": "minmax",
-    "sta_engine": "scalar",
-    "placer_assembly": "triplets",
-    "placer_solver": "direct",
     "net_weighting": "critical",
     "jobs": "auto",
 }

@@ -116,7 +116,7 @@ class TestDirtySetIncremental:
         assert second is first
 
     def test_epsilon_zero_is_exact_over_many_passes(self):
-        """Reference-position drift must not accumulate error at eps=0."""
+        """Reference-position drift must not accumulate error."""
         circuit = generate_named("s9234")
         engine = VectorizedTiming(circuit, TECH)
         positions = random_positions(circuit, seed=11)
@@ -131,8 +131,10 @@ class TestDirtySetIncremental:
         assert_equivalent(scalar, snap)
 
     def test_negative_epsilon_rejected(self):
+        """The dirty-set tolerance is gone (the exact dirty set is the
+        only path); a caller still passing one fails loudly."""
         circuit = generate_named("s5378")
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError, match="dirty_epsilon"):
             VectorizedTiming(circuit, TECH, dirty_epsilon=-1.0)
 
 
